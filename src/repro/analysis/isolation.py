@@ -266,42 +266,47 @@ def _module_imports(tree: ast.Module, module: str, resolver: SourceResolver) -> 
     ``if TYPE_CHECKING:`` bodies do not (they never execute).
     """
     found: list[str] = []
-
-    def visit(body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.If) and _is_type_checking_test(stmt.test):
-                visit(stmt.orelse)
-                continue
-            if isinstance(stmt, ast.Import):
-                for alias in stmt.names:
-                    if alias.name.startswith("repro"):
-                        found.append(alias.name)
-            elif isinstance(stmt, ast.ImportFrom):
-                target = stmt.module or ""
-                if stmt.level:
-                    parts = module.split(".")
-                    base = parts[: len(parts) - stmt.level]
-                    target = ".".join(base + ([target] if target else []))
-                if not target.startswith("repro"):
-                    continue
-                found.append(target)
-                for alias in stmt.names:
-                    submodule = f"{target}.{alias.name}"
-                    if resolver.module_ast(submodule) is not None:
-                        found.append(submodule)
-            for child_body in (
-                getattr(stmt, "body", None),
-                getattr(stmt, "orelse", None),
-                getattr(stmt, "finalbody", None),
-            ):
-                if isinstance(child_body, list):
-                    visit(child_body)
-            if isinstance(stmt, ast.Try):
-                for handler in stmt.handlers:
-                    visit(handler.body)
-
-    visit(tree.body)
+    _collect_imports(tree.body, module, resolver, found)
     return found
+
+
+def _collect_imports(
+    body: Sequence[ast.stmt], module: str, resolver: SourceResolver, found: list[str]
+) -> None:
+    # A module-level recursion, not a nested closure: a self-referencing
+    # closure is cyclic garbage that would keep ``resolver`` (every parsed
+    # module) alive until the next full collection.
+    for stmt in body:
+        if isinstance(stmt, ast.If) and _is_type_checking_test(stmt.test):
+            _collect_imports(stmt.orelse, module, resolver, found)
+            continue
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                if alias.name.startswith("repro"):
+                    found.append(alias.name)
+        elif isinstance(stmt, ast.ImportFrom):
+            target = stmt.module or ""
+            if stmt.level:
+                parts = module.split(".")
+                base = parts[: len(parts) - stmt.level]
+                target = ".".join(base + ([target] if target else []))
+            if not target.startswith("repro"):
+                continue
+            found.append(target)
+            for alias in stmt.names:
+                submodule = f"{target}.{alias.name}"
+                if resolver.module_ast(submodule) is not None:
+                    found.append(submodule)
+        for child_body in (
+            getattr(stmt, "body", None),
+            getattr(stmt, "orelse", None),
+            getattr(stmt, "finalbody", None),
+        ):
+            if isinstance(child_body, list):
+                _collect_imports(child_body, module, resolver, found)
+        if isinstance(stmt, ast.Try):
+            for handler in stmt.handlers:
+                _collect_imports(handler.body, module, resolver, found)
 
 
 def import_closure(

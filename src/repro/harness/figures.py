@@ -10,12 +10,17 @@ keeping run time sane; callers can override them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.baselines.vc.config import VC8, VC16, VC32
 from repro.core.config import FR6, FR13
-from repro.harness.experiment import run_experiment
+from repro.harness.experiment import AnyConfig, run_experiment
+from repro.harness.parallel import prewarming
 from repro.harness.presets import MeasurementPreset
-from repro.harness.sweep import LoadSweepResult, run_load_sweep
+from repro.harness.sweep import LoadSweepResult, run_load_sweep, sweep_calls
+
+if TYPE_CHECKING:
+    from repro.obs.ledger import RunLedger
 
 #: Offered loads (fraction of capacity) spanning each figure's x-axis.
 DEFAULT_LOADS_5FLIT = [0.10, 0.30, 0.45, 0.55, 0.63, 0.70, 0.77, 0.83, 0.88]
@@ -47,30 +52,40 @@ class FigureResult:
         return "\n".join(lines)
 
 
+def _curves(
+    configs: list[AnyConfig],
+    loads: list[float],
+    ledger: Optional["RunLedger"],
+    jobs: Optional[int],
+    **kwargs: Any,
+) -> list[LoadSweepResult]:
+    """One sweep per configuration.  With a ledger, the cold points of *all*
+    the curves go to one process pool first; each sweep then replays."""
+    calls = [call for config in configs for call in sweep_calls(config, loads, **kwargs)]
+    with prewarming(ledger, calls, jobs):
+        return [
+            run_load_sweep(config, loads, ledger=ledger, jobs=1, **kwargs)
+            for config in configs
+        ]
+
+
 def figure5(
     preset: str | MeasurementPreset = "standard",
     seed: int = 1,
     loads: list[float] | None = None,
     check_invariants: bool = False,
+    ledger: Optional["RunLedger"] = None,
+    jobs: Optional[int] = None,
 ) -> FigureResult:
     """Latency vs offered traffic, 5-flit packets, fast control (Figure 5)."""
-    loads = loads or DEFAULT_LOADS_5FLIT
-    result = FigureResult(
+    return FigureResult(
         "Figure 5",
         "latency vs offered traffic, 5-flit packets (fast control)",
+        _curves(
+            [VC8, VC16, FR6, FR13], loads or DEFAULT_LOADS_5FLIT, ledger, jobs,
+            packet_length=5, seed=seed, preset=preset, check_invariants=check_invariants,
+        ),
     )
-    for config in (VC8, VC16, FR6, FR13):
-        result.curves.append(
-            run_load_sweep(
-                config,
-                loads,
-                packet_length=5,
-                seed=seed,
-                preset=preset,
-                check_invariants=check_invariants,
-            )
-        )
-    return result
 
 
 def figure6(
@@ -78,25 +93,18 @@ def figure6(
     seed: int = 1,
     loads: list[float] | None = None,
     check_invariants: bool = False,
+    ledger: Optional["RunLedger"] = None,
+    jobs: Optional[int] = None,
 ) -> FigureResult:
     """Latency vs offered traffic, 21-flit packets, fast control (Figure 6)."""
-    loads = loads or DEFAULT_LOADS_21FLIT
-    result = FigureResult(
+    return FigureResult(
         "Figure 6",
         "latency vs offered traffic, 21-flit packets (fast control)",
+        _curves(
+            [VC8, VC32, FR6, FR13], loads or DEFAULT_LOADS_21FLIT, ledger, jobs,
+            packet_length=21, seed=seed, preset=preset, check_invariants=check_invariants,
+        ),
     )
-    for config in (VC8, VC32, FR6, FR13):
-        result.curves.append(
-            run_load_sweep(
-                config,
-                loads,
-                packet_length=21,
-                seed=seed,
-                preset=preset,
-                check_invariants=check_invariants,
-            )
-        )
-    return result
 
 
 def figure7(
@@ -105,25 +113,22 @@ def figure7(
     loads: list[float] | None = None,
     horizons: tuple[int, ...] = (16, 32, 64, 128),
     check_invariants: bool = False,
+    ledger: Optional["RunLedger"] = None,
+    jobs: Optional[int] = None,
 ) -> FigureResult:
     """FR6 sensitivity to the scheduling horizon (Figure 7)."""
-    loads = loads or DEFAULT_LOADS_5FLIT
-    result = FigureResult(
+    curves = _curves(
+        [FR6.with_horizon(horizon) for horizon in horizons],
+        loads or DEFAULT_LOADS_5FLIT, ledger, jobs,
+        packet_length=5, seed=seed, preset=preset, check_invariants=check_invariants,
+    )
+    for sweep, horizon in zip(curves, horizons):
+        sweep.config_name = f"FR6/s={horizon}"
+    return FigureResult(
         "Figure 7",
         "flit-reservation latency vs offered traffic, horizon 16..128 (FR6)",
+        curves,
     )
-    for horizon in horizons:
-        sweep = run_load_sweep(
-            FR6.with_horizon(horizon),
-            loads,
-            packet_length=5,
-            seed=seed,
-            preset=preset,
-            check_invariants=check_invariants,
-        )
-        sweep.config_name = f"FR6/s={horizon}"
-        result.curves.append(sweep)
-    return result
 
 
 def figure8(
@@ -132,25 +137,22 @@ def figure8(
     loads: list[float] | None = None,
     leads: tuple[int, ...] = (1, 2, 4),
     check_invariants: bool = False,
+    ledger: Optional["RunLedger"] = None,
+    jobs: Optional[int] = None,
 ) -> FigureResult:
     """FR6 with leading control, lead = 1/2/4 cycles, 1-cycle wires (Figure 8)."""
-    loads = loads or DEFAULT_LOADS_5FLIT
-    result = FigureResult(
+    curves = _curves(
+        [FR6.with_leading_control(lead) for lead in leads],
+        loads or DEFAULT_LOADS_5FLIT, ledger, jobs,
+        packet_length=5, seed=seed, preset=preset, check_invariants=check_invariants,
+    )
+    for sweep, lead in zip(curves, leads):
+        sweep.config_name = f"FR6/lead={lead}"
+    return FigureResult(
         "Figure 8",
         "flit-reservation with control leading data by 1, 2 and 4 cycles",
+        curves,
     )
-    for lead in leads:
-        sweep = run_load_sweep(
-            FR6.with_leading_control(lead),
-            loads,
-            packet_length=5,
-            seed=seed,
-            preset=preset,
-            check_invariants=check_invariants,
-        )
-        sweep.config_name = f"FR6/lead={lead}"
-        result.curves.append(sweep)
-    return result
 
 
 def figure9(
@@ -158,35 +160,21 @@ def figure9(
     seed: int = 1,
     loads: list[float] | None = None,
     check_invariants: bool = False,
+    ledger: Optional["RunLedger"] = None,
+    jobs: Optional[int] = None,
 ) -> FigureResult:
     """FR6 (1-cycle lead) vs VC8/VC16 on 1-cycle wires, 5-flit pkts (Figure 9)."""
-    loads = loads or DEFAULT_LOADS_5FLIT
-    result = FigureResult(
+    curves = _curves(
+        [FR6.with_leading_control(1), VC8.with_unit_links(), VC16.with_unit_links()],
+        loads or DEFAULT_LOADS_5FLIT, ledger, jobs,
+        packet_length=5, seed=seed, preset=preset, check_invariants=check_invariants,
+    )
+    curves[0].config_name = "FR6/lead=1"
+    return FigureResult(
         "Figure 9",
         "leading control vs virtual-channel flow control, 1-cycle wires",
+        curves,
     )
-    fr_sweep = run_load_sweep(
-        FR6.with_leading_control(1),
-        loads,
-        packet_length=5,
-        seed=seed,
-        preset=preset,
-        check_invariants=check_invariants,
-    )
-    fr_sweep.config_name = "FR6/lead=1"
-    result.curves.append(fr_sweep)
-    for config in (VC8.with_unit_links(), VC16.with_unit_links()):
-        result.curves.append(
-            run_load_sweep(
-                config,
-                loads,
-                packet_length=5,
-                seed=seed,
-                preset=preset,
-                check_invariants=check_invariants,
-            )
-        )
-    return result
 
 
 def section42_occupancy(

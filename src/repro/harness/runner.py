@@ -145,9 +145,11 @@ def main(argv: list[str] | None = None) -> int:
     t3 = sub.add_parser("table3", help="experimental summary")
     t3.add_argument("--no-leading", action="store_true")
     t3.add_argument("--packet-lengths", default="5,21")
+    _add_ledger_flags(t3, progress=False, jobs=True)
 
     fig = sub.add_parser("figure", help="regenerate one figure's curves")
     fig.add_argument("number", choices=sorted(FIGURES))
+    _add_ledger_flags(fig, progress=False, jobs=True)
 
     point = sub.add_parser("point", help="run one (config, load) experiment")
     point.add_argument("config")
@@ -201,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--packet-length", type=int, default=5)
     sweep.add_argument("--attribution-out", default=argparse.SUPPRESS)
     sweep.add_argument("--heatmap-out", default=argparse.SUPPRESS)
-    _add_ledger_flags(sweep)
+    _add_ledger_flags(sweep, jobs=True)
 
     heat = sub.add_parser(
         "heatmap",
@@ -346,19 +348,29 @@ def main(argv: list[str] | None = None) -> int:
         print(format_table2(table2()))
     elif args.command == "table3":
         lengths = tuple(int(x) for x in args.packet_lengths.split(","))
+        ledger = _ledger(args)
         result = table3(
             preset=args.preset,
             seed=args.seed,
             packet_lengths=lengths,
             include_leading=not args.no_leading,
             check_invariants=args.check_invariants,
+            ledger=ledger,
+            jobs=args.jobs,
         )
         print(result.format())
+        _report_ledger(ledger)
     elif args.command == "figure":
+        ledger = _ledger(args)
         result = FIGURES[args.number](
-            preset=args.preset, seed=args.seed, check_invariants=args.check_invariants
+            preset=args.preset,
+            seed=args.seed,
+            check_invariants=args.check_invariants,
+            ledger=ledger,
+            jobs=args.jobs,
         )
         print(result.format())
+        _report_ledger(ledger)
     elif args.command == "point":
         session = _obs_session(args) if wants_obs else None
         ledger = _ledger(args)
@@ -452,6 +464,7 @@ def main(argv: list[str] | None = None) -> int:
             ledger=ledger,
             progress=progress,
             heatmap_out=getattr(args, "heatmap_out", None),
+            jobs=args.jobs,
         )
         if progress is not None:
             progress.close(
@@ -503,8 +516,11 @@ def _add_run_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument("--event-capacity", type=int, default=suppress)
 
 
-def _add_ledger_flags(subparser: argparse.ArgumentParser) -> None:
-    """`--ledger [DIR]` and `--progress-out` for point/sweep/saturate."""
+def _add_ledger_flags(
+    subparser: argparse.ArgumentParser, progress: bool = True, jobs: bool = False
+) -> None:
+    """`--ledger [DIR]`, plus `--progress-out` (point/sweep/saturate) and
+    `--jobs N` (sweep/figure/table3) where they apply."""
     subparser.add_argument(
         "--ledger",
         nargs="?",
@@ -515,18 +531,31 @@ def _add_ledger_flags(subparser: argparse.ArgumentParser) -> None:
         "simulating (verified hits replay byte-identically; default store "
         ".frfc/runs)",
     )
-    subparser.add_argument(
-        "--progress-out",
-        default=None,
-        metavar="JSONL",
-        help="append machine-readable heartbeat telemetry here (stderr gets "
-        "the human lines either way once progress is on)",
-    )
+    if progress:
+        subparser.add_argument(
+            "--progress-out",
+            default=None,
+            metavar="JSONL",
+            help="append machine-readable heartbeat telemetry here (stderr gets "
+            "the human lines either way once progress is on)",
+        )
+    if jobs:
+        subparser.add_argument(
+            "--jobs",
+            type=int,
+            default=None,
+            metavar="N",
+            help="with --ledger: simulate cold points in N worker processes, "
+            "then replay them (default: one per cold point up to the CPUs "
+            "available; 1 = in-process; output is identical either way)",
+        )
 
 
 def _ledger(args: argparse.Namespace) -> "RunLedger | None":
     store = getattr(args, "ledger", None)
     if store is None:
+        if getattr(args, "jobs", None) is not None:
+            raise SystemExit("--jobs needs --ledger: workers hand results over as run records")
         return None
     from repro.obs.ledger import RunLedger
 

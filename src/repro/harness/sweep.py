@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.harness.experiment import AnyConfig, ExperimentResult, run_experiment
+from repro.harness.parallel import Call, prewarming
 from repro.harness.presets import MeasurementPreset
 
 if TYPE_CHECKING:
@@ -125,6 +126,7 @@ def run_load_sweep(
     ledger: Optional["RunLedger"] = None,
     progress: Optional["ProgressReporter"] = None,
     heatmap_out: Optional[str] = None,
+    jobs: Optional[int] = None,
     **kwargs: Any,
 ) -> LoadSweepResult:
     """Measure one configuration across ascending offered loads.
@@ -143,14 +145,67 @@ def run_load_sweep(
     against the same store resumes exactly where it stopped.  ``progress``
     attaches a heartbeat reporter to every simulated point and brackets
     points for ETA accounting; both leave results bit-identical to a bare
-    sweep.
+    sweep.  ``jobs`` worker processes simulate a ledgered sweep's cold points
+    side by side (default: one per point up to the CPUs available) and the
+    serial loop replays their records; what the sweep returns, prints and
+    counts is what ``jobs=1``, the in-process path, would
+    (:mod:`repro.harness.parallel`).
 
     With ``heatmap_out`` every simulated point runs with a spatial metrics
     registry attached and the sweep writes one ``frfc-heatmap/1`` payload
     with one frame per point (the spatial evolution of congestion as load
     rises).  Points replayed from the ledger were never simulated, so they
-    contribute no frame.
+    contribute no frame, which is why a heatmap sweep always runs in-process.
     """
+    calls = sweep_calls(
+        config, loads, packet_length=packet_length, seed=seed, preset=preset,
+        stop_when_saturated=stop_when_saturated, attribute=attribute, **kwargs,
+    )
+    with prewarming(ledger, calls, 1 if heatmap_out is not None else jobs):
+        return _sweep(
+            config, loads, packet_length, seed, preset, stop_when_saturated,
+            attribute, ledger, progress, heatmap_out, **kwargs,
+        )
+
+
+def sweep_calls(
+    config: AnyConfig,
+    loads: list[float],
+    stop_when_saturated: bool = True,
+    **kwargs: Any,
+) -> list[Call]:
+    """The distinct points of one sweep, ascending, as pool workers run them."""
+    curve = object() if stop_when_saturated else None
+    return [
+        Call(_worker_point, config, (load,), kwargs, curve)
+        for load in sorted(dict.fromkeys(loads))
+    ]
+
+
+def _worker_point(
+    config: AnyConfig, load: float, attribute: bool = False, **kwargs: Any
+) -> ExperimentResult:
+    """One sweep point under the session the serial loop would give it
+    (heartbeats stay with the parent's reporter)."""
+    return run_experiment(
+        config, load, obs=_point_session(attribute=attribute), **kwargs
+    )
+
+
+def _sweep(
+    config: AnyConfig,
+    loads: list[float],
+    packet_length: int,
+    seed: int,
+    preset: str | MeasurementPreset,
+    stop_when_saturated: bool,
+    attribute: bool,
+    ledger: Optional["RunLedger"],
+    progress: Optional["ProgressReporter"],
+    heatmap_out: Optional[str],
+    **kwargs: Any,
+) -> LoadSweepResult:
+    """The serial sweep loop: simulate or replay each point in turn."""
     result = LoadSweepResult(config_name="", packet_length=packet_length)
     ordered = sorted(loads)
     observed = (
@@ -189,9 +244,11 @@ def run_load_sweep(
         if observed:
             result.telemetry.append(_point_telemetry(load, hit, session, ledger))
         if attribute:
+            # A ledgered point reads its evidence from its record: the
+            # simulation may have run in a pool worker, not under `session`.
             summary = (
                 ledger.last_attribution()
-                if hit and ledger is not None
+                if ledger is not None and ledger.last_record is not None
                 else session.attribution_summary(
                     label=f"{point.config_name} load={load:.2f}"
                 )
@@ -246,12 +303,14 @@ def _point_telemetry(
     session: "ObsSession | None",
     ledger: "RunLedger | None",
 ) -> PointTelemetry:
-    """Health facts for one point, from the ledger record on a hit and the
-    live session on a miss."""
-    if hit and ledger is not None:
+    """Health facts for one point: from its ledger record when it has one
+    (replayed, simulated here, or simulated by a pool worker -- the record
+    holds the simulating session's numbers either way), else from the live
+    session."""
+    if ledger is not None and ledger.last_record is not None:
         return PointTelemetry(
             offered_load=load,
-            cache_hit=True,
+            cache_hit=hit,
             events_dropped=ledger.last_events_dropped(),
             profile=ledger.last_profile(),
         )

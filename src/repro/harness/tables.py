@@ -11,14 +11,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
 
 from repro.baselines.vc.config import VC8, VC16, VC32
 from repro.core.config import FR6, FR13
 from repro.harness.experiment import AnyConfig, run_experiment
+from repro.harness.parallel import Call, prewarming
 from repro.harness.presets import MeasurementPreset
 from repro.harness.saturation import find_saturation
 from repro.overhead.bandwidth import BandwidthOverhead, fr_bandwidth, vc_bandwidth
 from repro.overhead.storage import FRStorageModel, StorageBreakdown, VCStorageModel
+
+if TYPE_CHECKING:
+    from repro.obs.ledger import RunLedger
 
 
 def table1(flit_bits: int = 256, type_bits: int = 2) -> dict[str, dict[str, float]]:
@@ -184,41 +189,47 @@ def table3(
     include_leading: bool = True,
     saturation_low: float = 0.25,
     check_invariants: bool = False,
+    ledger: Optional["RunLedger"] = None,
+    jobs: Optional[int] = None,
 ) -> Table3Result:
     """Measure every Table 3 cell.
 
     ``base_load`` is the near-zero offered load used for base latency (the
-    paper reads it off the flat left end of each curve).
+    paper reads it off the flat left end of each curve).  With ``ledger``
+    every point and saturation probe is memoised, and when any is cold the
+    rows go to ``jobs`` pool workers first (one row -- two points and a
+    saturation search -- per task); the loop below then replays.
     """
-    result = Table3Result()
-    for length in packet_lengths:
-        for config in fast_control_configs():
-            result.rows.append(
-                _table3_row(
-                    "fast", config, length, base_load, preset, seed,
-                    saturation_low, check_invariants,
-                )
-            )
+    cells = [
+        (config, "fast", length)
+        for length in packet_lengths
+        for config in fast_control_configs()
+    ]
     if include_leading:
-        for config in leading_control_configs(lead=1):
-            result.rows.append(
-                _table3_row(
-                    "leading", config, 5, base_load, preset, seed,
-                    saturation_low, check_invariants,
-                )
-            )
-    return result
+        cells += [(config, "leading", 5) for config in leading_control_configs(lead=1)]
+    common = (base_load, preset, seed, saturation_low, check_invariants)
+    calls = [
+        Call(_table3_row, config, (regime, length, *common)) for config, regime, length in cells
+    ]
+    with prewarming(ledger, calls, jobs):
+        return Table3Result(
+            [
+                _table3_row(config, regime, length, *common, ledger=ledger)
+                for config, regime, length in cells
+            ]
+        )
 
 
 def _table3_row(
-    regime: str,
     config: AnyConfig,
+    regime: str,
     packet_length: int,
     base_load: float,
     preset: str | MeasurementPreset,
     seed: int,
     saturation_low: float,
     check_invariants: bool = False,
+    ledger: Optional["RunLedger"] = None,
 ) -> Table3Row:
     base = run_experiment(
         config,
@@ -227,6 +238,7 @@ def _table3_row(
         seed=seed,
         preset=preset,
         check_invariants=check_invariants,
+        ledger=ledger,
     )
     mid = run_experiment(
         config,
@@ -235,6 +247,7 @@ def _table3_row(
         seed=seed,
         preset=preset,
         check_invariants=check_invariants,
+        ledger=ledger,
     )
     saturation = find_saturation(
         config,
@@ -243,6 +256,7 @@ def _table3_row(
         preset=preset,
         low=saturation_low,
         check_invariants=check_invariants,
+        ledger=ledger,
     )
     return Table3Row(
         regime=regime,

@@ -31,12 +31,13 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.obs.exporters import atomic_write_text
 from repro.obs.manifest import MANIFEST_SCHEMA, _config_dict, git_sha
 
 if TYPE_CHECKING:
+    from repro.analysis.phases import SourceResolver
     from repro.harness.experiment import AnyConfig, ExperimentResult
     from repro.harness.presets import MeasurementPreset
     from repro.obs.report import AttributionSummary
@@ -106,6 +107,13 @@ class RunLedger:
     digests (instance state, never module state -- the isolation prover
     forbids cross-run module caches) plus hit/miss/corrupt counters that the
     sweep harness and CLI surface as telemetry.
+
+    Parallel sweeps (:mod:`repro.harness.parallel`) ride on three more
+    pieces of instance state: ``on_miss`` (a one-shot hook that fans the
+    sweep's cold points out the first time a record is absent), ``written``
+    (the hashes this object stored, which pool workers report back) and
+    ``prewarmed`` (hashes workers stored on this ledger's behalf: their first
+    lookup counts as the miss + record a serial run would have made).
     """
 
     def __init__(self, root: "str | Path" = DEFAULT_STORE) -> None:
@@ -116,8 +124,16 @@ class RunLedger:
         self.corrupt = 0
         self.last_hit = False
         self.last_record: Optional[dict[str, Any]] = None
+        self.written: list[str] = []
+        self.prewarmed: set[str] = set()
+        self.on_miss: Optional[Callable[[], None]] = None
         self._git_sha: Optional[str] = None
         self._code_digests: dict[str, str] = {}
+        self._resolver: Optional["SourceResolver"] = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Pool workers get the digests, not the parsed sources behind them.
+        return {**self.__dict__, "_resolver": None}
 
     # -- identity -----------------------------------------------------------
 
@@ -150,10 +166,13 @@ class RunLedger:
             if kind != model
             for module in modules
         )
-        resolver = SourceResolver()
+        # One resolver per ledger: the models' closures mostly overlap, so a
+        # sweep over FR and VC parses the shared modules once.
+        if self._resolver is None:
+            self._resolver = SourceResolver()
         members: dict[str, None] = {}
         for root in ("repro.harness.experiment", *MODEL_MODULES[model]):
-            for module in import_closure(root, resolver, stop=stop):
+            for module in import_closure(root, self._resolver, stop=stop):
                 members[module] = None
         digest = hashlib.sha256()
         for module in sorted(members):
@@ -164,6 +183,15 @@ class RunLedger:
         value = digest.hexdigest()
         self._code_digests[model] = value
         return value
+
+    def prime(self, configs: "list[AnyConfig]") -> None:
+        """Compute the git SHA and the code digest of each config's model
+        now, so pool workers inherit them instead of recomputing each."""
+        self.current_git_sha()
+        for config in configs:
+            model = _model_kind(config)
+            if model not in self._code_digests:
+                self.code_digest(model)
 
     def experiment_identity(
         self,
@@ -358,7 +386,14 @@ class RunLedger:
         key = self.identity_hash(identity)
         path = self.record_path(key)
         if not path.exists():
-            return self._miss()
+            if self.on_miss is None:
+                return self._miss()
+            # One-shot: a parallel sweep simulates its cold points in a
+            # process pool now, so this lookup and the ones after it replay.
+            hook, self.on_miss = self.on_miss, None
+            hook()
+            if not path.exists():
+                return self._miss()
         try:
             record = self.load(key)
         except LedgerCorruptionError as error:
@@ -372,8 +407,16 @@ class RunLedger:
                 "requested one despite equal hashes; re-simulating\n"
             )
             return self._miss()
-        self.hits += 1
-        self.last_hit = True
+        if key in self.prewarmed:
+            # Simulated moments ago by a pool worker of this very run: the
+            # counters read as if this process had missed and recorded it.
+            self.prewarmed.discard(key)
+            self.misses += 1
+            self.recorded += 1
+            self.last_hit = False
+        else:
+            self.hits += 1
+            self.last_hit = True
         self.last_record = record
         return record
 
@@ -415,6 +458,7 @@ class RunLedger:
             json.dumps(body, indent=2, sort_keys=True) + "\n",
         )
         self.recorded += 1
+        self.written.append(record["identity_hash"])
         self.last_hit = False
         self.last_record = body
         return body

@@ -107,9 +107,13 @@ def test_interrupted_sweep_resumes_byte_identically(tmp_path, interrupt_after):
 
     store = tmp_path / "runs"
     with pytest.raises(KeyboardInterrupt):
+        # Pinned serial: the fault is injected through this ledger object's
+        # own record_experiment, and "after N points" only means something
+        # when one process records them in order.  (Failing and killed pool
+        # workers are covered in test_parallel_sweep.py.)
         run_load_sweep(
             FR6, loads, preset=TINY, mesh=Mesh2D(4, 4),
-            ledger=_InterruptingLedger(store, budget=interrupt_after),
+            ledger=_InterruptingLedger(store, budget=interrupt_after), jobs=1,
         )
     # The interrupted run recorded exactly the points it finished...
     resumed_ledger = RunLedger(store)

@@ -11,8 +11,10 @@ class TestFigureCommand:
     def test_figure_dispatch(self, monkeypatch, capsys):
         calls = {}
 
-        def fake_figure(preset="standard", seed=1, check_invariants=False):
+        def fake_figure(preset="standard", seed=1, check_invariants=False,
+                        ledger=None, jobs=None):
             calls["args"] = (preset, seed)
+            assert ledger is None and jobs is None  # no --ledger given
             return FigureResult("Figure 5", "stub title")
 
         monkeypatch.setitem(runner.FIGURES, "5", fake_figure)
