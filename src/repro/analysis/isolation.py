@@ -12,8 +12,9 @@ shape as the cdg deadlock prover and the hotpath allocation budget:
 1. **Reachability** -- starting from an entry point (``run_experiment`` per
    model, ``run_load_sweep``), compute the import closure of ``repro.*``
    modules at module granularity.  Import statements anywhere in a module
-   are followed (including function-level lazy imports); ``if
-   TYPE_CHECKING:`` blocks are skipped (they never execute).  Per-model
+   are followed (including function-level lazy imports); the body of a
+   bare ``if TYPE_CHECKING:`` is skipped (it never executes), while
+   ``if not TYPE_CHECKING:`` and compound tests count in full.  Per-model
    trees stop at the *other* models' config/network modules so a finding in
    the VC arbiter does not invalidate the FR certificate.  Parent-package
    ``__init__`` modules are import-time re-export plumbing and are not
@@ -71,12 +72,16 @@ certificate if it is reachable from an entry point.
 from __future__ import annotations
 
 import ast
-import importlib.util
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.analysis.phases import MUTATOR_METHODS, SingleModuleResolver, SourceResolver
+from repro.analysis.phases import (
+    MUTATOR_METHODS,
+    ImportSource,
+    SingleModuleResolver,
+    SourceResolver,
+)
 
 CERT_SCHEMA = "frfc-isolation/1"
 
@@ -221,25 +226,6 @@ class EntryPointReport:
 # ---------------------------------------------------------------------------
 
 
-class _OriginResolver(SourceResolver):
-    """A :class:`SourceResolver` that also remembers where modules live."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.origins: dict[str, str] = {}
-
-    def _load(self, module: str) -> ast.Module | None:
-        try:
-            spec = importlib.util.find_spec(module)
-        except (ImportError, ValueError):
-            return None
-        if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
-            return None
-        self.origins[module] = spec.origin
-        source = Path(spec.origin).read_text(encoding="utf-8")
-        return ast.parse(source, filename=spec.origin)
-
-
 def _rel_path(origin: str) -> str:
     """Repo-relative posix path for certificate stability across checkouts."""
     posix = Path(origin).as_posix()
@@ -250,72 +236,16 @@ def _rel_path(origin: str) -> str:
     return posix
 
 
-def _is_type_checking_test(test: ast.expr) -> bool:
-    for node in ast.walk(test):
-        if isinstance(node, ast.Name) and node.id == "TYPE_CHECKING":
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING":
-            return True
-    return False
-
-
-def _module_imports(tree: ast.Module, module: str, resolver: SourceResolver) -> list[str]:
-    """Every ``repro.*`` module imported anywhere in ``tree``.
-
-    Function-level lazy imports count (they execute at run time);
-    ``if TYPE_CHECKING:`` bodies do not (they never execute).
-    """
-    found: list[str] = []
-    _collect_imports(tree.body, module, resolver, found)
-    return found
-
-
-def _collect_imports(
-    body: Sequence[ast.stmt], module: str, resolver: SourceResolver, found: list[str]
-) -> None:
-    # A module-level recursion, not a nested closure: a self-referencing
-    # closure is cyclic garbage that would keep ``resolver`` (every parsed
-    # module) alive until the next full collection.
-    for stmt in body:
-        if isinstance(stmt, ast.If) and _is_type_checking_test(stmt.test):
-            _collect_imports(stmt.orelse, module, resolver, found)
-            continue
-        if isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                if alias.name.startswith("repro"):
-                    found.append(alias.name)
-        elif isinstance(stmt, ast.ImportFrom):
-            target = stmt.module or ""
-            if stmt.level:
-                parts = module.split(".")
-                base = parts[: len(parts) - stmt.level]
-                target = ".".join(base + ([target] if target else []))
-            if not target.startswith("repro"):
-                continue
-            found.append(target)
-            for alias in stmt.names:
-                submodule = f"{target}.{alias.name}"
-                if resolver.module_ast(submodule) is not None:
-                    found.append(submodule)
-        for child_body in (
-            getattr(stmt, "body", None),
-            getattr(stmt, "orelse", None),
-            getattr(stmt, "finalbody", None),
-        ):
-            if isinstance(child_body, list):
-                _collect_imports(child_body, module, resolver, found)
-        if isinstance(stmt, ast.Try):
-            for handler in stmt.handlers:
-                _collect_imports(handler.body, module, resolver, found)
-
-
 def import_closure(
-    root: str, resolver: SourceResolver, stop: frozenset[str] = frozenset()
+    root: str, resolver: ImportSource, stop: frozenset[str] = frozenset()
 ) -> list[str]:
     """Transitive ``repro.*`` import closure of ``root``, sorted.
 
     Modules in ``stop`` are excluded along with everything only reachable
-    through them.
+    through them.  The resolver says what each module's import statements
+    are; which modules those name is decided here, against the tree as it
+    is now (``from pkg import name`` is an edge to ``pkg.name`` exactly
+    when that is a module today).
     """
     seen: set[str] = set()
     frontier = [root]
@@ -323,11 +253,21 @@ def import_closure(
         module = frontier.pop()
         if module in seen or module in stop:
             continue
-        tree = resolver.module_ast(module)
-        if tree is None:
+        imports = resolver.module_imports(module)
+        if imports is None:
             continue
         seen.add(module)
-        frontier.extend(_module_imports(tree, module, resolver))
+        for level, target, names in imports:
+            if level:
+                base = module.split(".")[:-level]
+                target = ".".join(base + ([target] if target else []))
+            if not target.startswith("repro"):
+                continue
+            frontier.append(target)
+            for name in names:
+                submodule = f"{target}.{name}"
+                if resolver.module_imports(submodule) is not None:
+                    frontier.append(submodule)
     return sorted(seen)
 
 
@@ -991,7 +931,7 @@ class IsolationAnalyzer:
     """Scans entry-point import closures, caching per-module results."""
 
     def __init__(self) -> None:
-        self.resolver = _OriginResolver()
+        self.resolver = SourceResolver()
         self._scans: dict[str, ModuleScan] = {}
 
     def scan_module(self, module: str) -> ModuleScan | None:

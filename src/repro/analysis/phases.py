@@ -89,7 +89,7 @@ import ast
 import importlib.util
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Protocol, Sequence
 
 #: The Link pipeline API: calls that preserve the delay >= 1 argument.
 LINK_API_CALLS = frozenset({"send", "receive", "capacity_remaining", "in_flight"})
@@ -166,26 +166,110 @@ class ClassInfo:
         return chain
 
 
+#: One import statement as written: ``(level, module, names)``.  ``import
+#: a.b`` is ``(0, "a.b", ())``; ``from . import x`` is ``(1, "", ("x",))``.
+RawImport = tuple[int, str, tuple[str, ...]]
+
+
+class ImportSource(Protocol):
+    """What :func:`repro.analysis.isolation.import_closure` asks of a resolver."""
+
+    def module_imports(self, module: str) -> Sequence[RawImport] | None:
+        """The import statements of ``module`` (None when it has no source)."""
+
+
+def module_origin(module: str) -> str | None:
+    """The ``.py`` file ``module`` would be imported from, if there is one."""
+    try:
+        spec = importlib.util.find_spec(module)
+    except (ImportError, ValueError):
+        return None
+    if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
+        return None
+    return spec.origin
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    """``TYPE_CHECKING`` or ``<typing>.TYPE_CHECKING``, and nothing around it."""
+    if isinstance(test, ast.Attribute):
+        return test.attr == "TYPE_CHECKING" and isinstance(test.value, ast.Name)
+    return isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
+
+
+def raw_imports(tree: ast.Module) -> list[RawImport]:
+    """Every import statement of ``tree`` that can execute, as written.
+
+    Function-level lazy imports count (they execute at run time); the body
+    of a bare ``if TYPE_CHECKING:`` does not (it never executes).  Any other
+    test that merely mentions ``TYPE_CHECKING`` (``not TYPE_CHECKING``,
+    ``TYPE_CHECKING or X``) can be true at run time, so both branches count.
+    """
+    found: list[RawImport] = []
+    _collect_imports(tree.body, found)
+    return found
+
+
+def _collect_imports(body: Sequence[ast.stmt], found: list[RawImport]) -> None:
+    # A module-level recursion, not a nested closure: a self-referencing
+    # closure is cyclic garbage that would keep every parsed module alive
+    # until the next full collection.
+    for stmt in body:
+        if isinstance(stmt, ast.If) and _is_type_checking(stmt.test):
+            _collect_imports(stmt.orelse, found)
+            continue
+        if isinstance(stmt, ast.Import):
+            found.extend((0, alias.name, ()) for alias in stmt.names)
+        elif isinstance(stmt, ast.ImportFrom):
+            names = tuple(alias.name for alias in stmt.names)
+            found.append((stmt.level, stmt.module or "", names))
+        for child_body in (
+            getattr(stmt, "body", None),
+            getattr(stmt, "orelse", None),
+            getattr(stmt, "finalbody", None),
+        ):
+            if isinstance(child_body, list):
+                _collect_imports(child_body, found)
+        if isinstance(stmt, ast.Try):
+            for handler in stmt.handlers:
+                _collect_imports(handler.body, found)
+
+
 class SourceResolver:
-    """Loads and caches module ASTs by dotted name, without executing them."""
+    """Loads and caches module ASTs by dotted name, without executing them.
+
+    :meth:`module_source` is the one place a module's bytes are read, so
+    whatever is parsed, walked for imports or reported with an origin is the
+    same content.
+    """
 
     def __init__(self) -> None:
         self._modules: dict[str, ast.Module | None] = {}
+        self._imports: dict[str, list[RawImport] | None] = {}
+        #: module -> the file it was read from.
+        self.origins: dict[str, str] = {}
+
+    def module_source(self, module: str) -> bytes | None:
+        origin = module_origin(module)
+        if origin is None:
+            return None
+        self.origins[module] = origin
+        return Path(origin).read_bytes()
 
     def module_ast(self, module: str) -> ast.Module | None:
         if module not in self._modules:
-            self._modules[module] = self._load(module)
+            source = self.module_source(module)
+            self._modules[module] = (
+                None
+                if source is None
+                else ast.parse(source, filename=self.origins.get(module, module))
+            )
         return self._modules[module]
 
-    def _load(self, module: str) -> ast.Module | None:
-        try:
-            spec = importlib.util.find_spec(module)
-        except (ImportError, ValueError):
-            return None
-        if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
-            return None
-        source = Path(spec.origin).read_text(encoding="utf-8")
-        return ast.parse(source, filename=spec.origin)
+    def module_imports(self, module: str) -> list[RawImport] | None:
+        if module not in self._imports:
+            tree = self.module_ast(module)
+            self._imports[module] = None if tree is None else raw_imports(tree)
+        return self._imports[module]
 
     def resolve_class(self, name: str, module: str) -> ClassInfo | None:
         """Find class ``name`` in ``module`` or through its imports."""
@@ -215,7 +299,7 @@ class SingleModuleResolver(SourceResolver):
         super().__init__()
         self._modules[module] = tree
 
-    def _load(self, module: str) -> ast.Module | None:
+    def module_source(self, module: str) -> bytes | None:
         return None
 
 

@@ -8,6 +8,10 @@ model can actually reach invalidates exactly the affected models and nothing
 else).  The ledger keys each run record by the SHA-256 of that canonicalised
 identity and stores it as one JSON file under ``.frfc/runs/``.
 
+The digest reads and hashes every closure module each time; what it does not
+redo is the parse that finds their imports, which ``imports.memo`` in the
+store remembers per content hash (:class:`_ImportMemo`).
+
 Records (schema ``frfc-runrecord/1``) carry the measured result plus its own
 digest, the attribution summary and profiler phase timings when the run was
 observed, ``events_dropped``, and artifact paths.  Writes are atomic (temp +
@@ -25,19 +29,19 @@ resumable-sweep and warm-ledger CI gates pin down.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from repro.obs.exporters import atomic_write_text
 from repro.obs.manifest import MANIFEST_SCHEMA, _config_dict, git_sha
 
 if TYPE_CHECKING:
-    from repro.analysis.phases import SourceResolver
+    from repro.analysis.phases import RawImport
     from repro.harness.experiment import AnyConfig, ExperimentResult
     from repro.harness.presets import MeasurementPreset
     from repro.obs.report import AttributionSummary
@@ -49,6 +53,10 @@ RECORD_SCHEMA = "frfc-runrecord/1"
 
 #: Default store location, relative to the invoking directory.
 DEFAULT_STORE = ".frfc/runs"
+
+#: The import memo's file in the store root.  Not ``*.json``: it is no record,
+#: so ``scan``, ``resolve`` and every "is the store filled" glob pass it by.
+_MEMO_NAME = "imports.memo"
 
 #: Config dataclass name -> the isolation prover's model kind.
 _CONFIG_MODELS = {
@@ -76,19 +84,86 @@ def content_digest(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def _module_source(module: str) -> bytes:
-    """The source bytes of ``module`` (empty when unresolvable).
+def _module_source(module: str) -> Optional[bytes]:
+    """The source bytes of ``module`` (None when it has no source file).
 
-    Module-level so tests can monkeypatch it to simulate code edits without
-    touching the working tree.
+    The one place the ledger reads code: what is hashed into the digest is
+    what was searched for imports.  Module-level so tests can monkeypatch it
+    to simulate code edits without touching the working tree.
     """
-    try:
-        spec = importlib.util.find_spec(module)
-    except (ImportError, ValueError):
-        return b""
-    if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
-        return b""
-    return Path(spec.origin).read_bytes()
+    from repro.analysis.phases import module_origin
+
+    origin = module_origin(module)
+    return None if origin is None else Path(origin).read_bytes()
+
+
+class _ImportMemo:
+    """What each module imports, remembered in the store by content hash.
+
+    Finding a module's import statements means parsing it, and that is a
+    pure function of its bytes; so the store keeps ``module -> (sha256 of
+    the bytes, the statements as written)`` and an entry answers only for
+    bytes that hash to it -- every module is still read and hashed each
+    time.  What the statements *resolve* to is not remembered: that depends
+    on which files exist, and ``import_closure`` asks again every time.
+
+    The file is no artifact: it carries its own digest, a file that fails it
+    is dropped whole, and deleting it costs one parse of the tree.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        #: module -> SHA-256 (hex) of the bytes read for it this time.
+        self.hashes: dict[str, str] = {}
+        self._entries = self._read()
+        self._answered: dict[str, Optional[Sequence["RawImport"]]] = {}
+        self._stale = False
+
+    def _read(self) -> dict[str, Any]:
+        try:
+            payload = json.loads(self.path.read_bytes())
+            entries = payload["modules"]
+            if payload["digest"] == content_digest(entries):
+                return dict(entries)
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
+        return {}
+
+    def module_imports(self, module: str) -> Optional[Sequence["RawImport"]]:
+        if module in self._answered:
+            return self._answered[module]
+        source = _module_source(module)
+        if source is None:
+            self._answered[module] = None
+            return None
+        sha = hashlib.sha256(source).hexdigest()
+        self.hashes[module] = sha
+        entry = self._entries.get(module)
+        if entry is None or entry["sha256"] != sha:
+            from repro.analysis.phases import raw_imports
+
+            entry = {"sha256": sha, "imports": raw_imports(ast.parse(source))}
+            self._entries[module] = entry
+            self._stale = True
+        imports: Sequence["RawImport"] = entry["imports"]
+        self._answered[module] = imports
+        return imports
+
+    def save(self) -> None:
+        """Rewrite the file if anything had to be parsed since it was read.
+
+        A store that cannot be written (a read-only archive being replayed)
+        still gets its digest; it just parses again next time.
+        """
+        if not self._stale:
+            return
+        payload = {"digest": content_digest(self._entries), "modules": self._entries}
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write_text(self.path, canonical_json(payload) + "\n")
+        except OSError:
+            return
+        self._stale = False
 
 
 def _model_kind(config: "AnyConfig") -> str:
@@ -129,11 +204,11 @@ class RunLedger:
         self.on_miss: Optional[Callable[[], None]] = None
         self._git_sha: Optional[str] = None
         self._code_digests: dict[str, str] = {}
-        self._resolver: Optional["SourceResolver"] = None
+        self._imports: Optional[_ImportMemo] = None
 
     def __getstate__(self) -> dict[str, Any]:
-        # Pool workers get the digests, not the parsed sources behind them.
-        return {**self.__dict__, "_resolver": None}
+        # Pool workers get the digests, not the import memo behind them.
+        return {**self.__dict__, "_imports": None}
 
     # -- identity -----------------------------------------------------------
 
@@ -155,7 +230,6 @@ class RunLedger:
         if cached is not None:
             return cached
         from repro.analysis.isolation import MODEL_MODULES, import_closure
-        from repro.analysis.phases import SourceResolver
 
         if model not in MODEL_MODULES:
             known = ", ".join(sorted(MODEL_MODULES))
@@ -166,19 +240,19 @@ class RunLedger:
             if kind != model
             for module in modules
         )
-        # One resolver per ledger: the models' closures mostly overlap, so a
-        # sweep over FR and VC parses the shared modules once.
-        if self._resolver is None:
-            self._resolver = SourceResolver()
-        members: dict[str, None] = {}
+        # One memo per ledger: the models' closures mostly overlap, so a
+        # sweep over FR and VC reads the shared modules once.
+        if self._imports is None:
+            self._imports = _ImportMemo(self.root / _MEMO_NAME)
+        members: set[str] = set()
         for root in ("repro.harness.experiment", *MODEL_MODULES[model]):
-            for module in import_closure(root, self._resolver, stop=stop):
-                members[module] = None
+            members.update(import_closure(root, self._imports, stop=stop))
+        self._imports.save()
         digest = hashlib.sha256()
         for module in sorted(members):
             digest.update(module.encode("utf-8"))
             digest.update(b"\x00")
-            digest.update(hashlib.sha256(_module_source(module)).digest())
+            digest.update(bytes.fromhex(self._imports.hashes[module]))
             digest.update(b"\x00")
         value = digest.hexdigest()
         self._code_digests[model] = value
@@ -579,8 +653,8 @@ class RunLedger:
         A record is *stale* when its identity no longer matches the current
         checkout: different git SHA, or a different code digest for its
         model (both clock-free, so gc is deterministic).  ``wipe_all``
-        empties the store.  Stray temp files from interrupted writes are
-        always swept.
+        empties the store, import memo included.  Stray temp files from
+        interrupted writes are always swept.
         """
         kept = 0
         evicted = 0
@@ -611,6 +685,8 @@ class RunLedger:
                 evicted += 1
             else:
                 kept += 1
+        if wipe_all:
+            (self.root / _MEMO_NAME).unlink(missing_ok=True)
         for tmp in sorted(self.root.glob("*.tmp")):
             tmp.unlink()
         return kept, evicted

@@ -14,7 +14,6 @@ from repro.analysis.isolation import (
     VIOLATED,
     IsolationAnalyzer,
     IsolationError,
-    _OriginResolver,
     analyze_entry_points,
     analyze_module_isolation_source,
     build_certificate,
@@ -22,6 +21,7 @@ from repro.analysis.isolation import (
     import_closure,
     verify_isolation,
 )
+from repro.analysis.phases import SourceResolver, raw_imports
 
 REPO = Path(__file__).resolve().parents[2]
 BASELINE = REPO / "benchmarks" / "results" / "ISOLATION_baseline.json"
@@ -53,19 +53,64 @@ class TestImportClosure:
     def test_follows_lazy_function_level_imports(self):
         # sweep imports ObsSession lazily inside a helper; the closure must
         # still include the observability tree.
-        resolver = _OriginResolver()
+        resolver = SourceResolver()
         closure = import_closure("repro.harness.sweep", resolver)
         assert "repro.obs.session" in closure
 
     def test_skips_type_checking_blocks(self):
         # experiment's only obs reference is under `if TYPE_CHECKING:` --
         # the FR tree must not drag the observability stack in.
-        resolver = _OriginResolver()
+        resolver = SourceResolver()
         closure = import_closure("repro.harness.experiment", resolver)
         assert not any(module.startswith("repro.obs") for module in closure)
 
+    @pytest.mark.parametrize(
+        "test, followed",
+        [
+            # Only the bare test is never true at run time...
+            ("TYPE_CHECKING", ["else_branch"]),
+            ("typing.TYPE_CHECKING", ["else_branch"]),
+            # ...anything built around it can be, so both branches count.
+            ("not TYPE_CHECKING", ["body", "else_branch"]),
+            ("TYPE_CHECKING or FLAG", ["body", "else_branch"]),
+            ("TYPE_CHECKING and FLAG", ["body", "else_branch"]),
+            ("not typing.TYPE_CHECKING", ["body", "else_branch"]),
+        ],
+    )
+    def test_type_checking_polarity(self, test, followed):
+        source = textwrap.dedent(
+            f"""
+            if {test}:
+                import body
+            else:
+                from . import else_branch
+            """
+        )
+        imports = raw_imports(ast.parse(source))
+        assert [names[0] if names else module for _, module, names in imports] == followed
+
+    def test_raw_imports_keep_statements_as_written(self):
+        source = textwrap.dedent(
+            """
+            import os, repro.sim.link
+            from ..core import network as net, router
+            def lazy():
+                try:
+                    from repro.obs import session
+                except ImportError:
+                    import fallback
+            """
+        )
+        assert raw_imports(ast.parse(source)) == [
+            (0, "os", ()),
+            (0, "repro.sim.link", ()),
+            (2, "core", ("network", "router")),
+            (0, "repro.obs", ("session",)),
+            (0, "fallback", ()),
+        ]
+
     def test_stop_set_prunes_other_models(self):
-        resolver = _OriginResolver()
+        resolver = SourceResolver()
         closure = import_closure(
             "repro.harness.experiment",
             resolver,

@@ -152,8 +152,9 @@ def test_code_edit_in_closure_forces_resimulation(tmp_path, monkeypatch):
     monkeypatch.setattr(
         ledger_module,
         "_module_source",
-        lambda module: real_source(module)
-        + (b"\n# edit\n" if module == "repro.core.router" else b""),
+        lambda module: real_source(module) + b"\n# edit\n"
+        if module == "repro.core.router"
+        else real_source(module),
     )
     edited = RunLedger(store)
     rerun = _run(FR6, 0.2, 1, ledger=edited)
@@ -171,8 +172,9 @@ def test_unrelated_code_edit_keeps_hitting(tmp_path, monkeypatch):
     monkeypatch.setattr(
         ledger_module,
         "_module_source",
-        lambda module: real_source(module)
-        + (b"\n# edit\n" if module == "repro.baselines.wormhole.network" else b""),
+        lambda module: real_source(module) + b"\n# edit\n"
+        if module == "repro.baselines.wormhole.network"
+        else real_source(module),
     )
     edited = RunLedger(store)
     _run(FR6, 0.2, 1, ledger=edited)

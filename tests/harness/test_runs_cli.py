@@ -123,6 +123,10 @@ def test_runs_rejects_unknown_and_ambiguous_prefixes(store):
         main(["runs", "show", "zzzz", "--store", str(store)])
     with pytest.raises(SystemExit, match="ambiguous"):
         main(["runs", "show", "", "--store", str(store)])
+    # The import memo shares the directory but is no record.
+    assert (store / "imports.memo").exists()
+    with pytest.raises(SystemExit, match="no run record"):
+        main(["runs", "show", "imports", "--store", str(store)])
 
 
 def test_runs_gc_all_empties_the_store(store, capsys):
@@ -130,7 +134,9 @@ def test_runs_gc_all_empties_the_store(store, capsys):
     # fixture is module-scoped but this test only needs *some* records).
     assert main(["runs", "gc", "--store", str(store)]) == 0
     assert "evicted 0" in capsys.readouterr().out  # same checkout: all current
+    assert (store / "imports.memo").exists()  # plain gc keeps the import memo
     assert main(["runs", "gc", "--all", "--store", str(store)]) == 0
     assert "kept 0" in capsys.readouterr().out
+    assert list(store.iterdir()) == []
     assert main(["runs", "list", "--store", str(store)]) == 0
     assert "no run records" in capsys.readouterr().out

@@ -52,6 +52,14 @@ def _paths(gate, tmp_path, monkeypatch, cps: float):
     monkeypatch.setattr(
         gate, "run_benchmark", lambda workload=None: _report(cps, workload=workload)
     )
+    monkeypatch.setattr(
+        gate,
+        "run_sweeps",
+        lambda: {"phases": {
+            "cold": {"cycles": 5000, "wall_seconds": 4.0, "cycles_per_second": 1250.0},
+            "warm": {"cycles": 5000, "wall_seconds": 0.01, "cycles_per_second": 500000.0},
+        }},
+    )
     monkeypatch.setattr(gate, "git_sha", lambda: "f" * 40)
     return [
         "--baseline", str(tmp_path / "BENCH_5.json"),
@@ -70,8 +78,9 @@ def test_record_writes_baseline_and_appends_trajectory(gate, tmp_path, monkeypat
     assert baseline["bench"]["cycles_per_second"] == 250.0
     assert baseline["git_sha"] == "f" * 40
     lines = (tmp_path / "BENCH_trajectory.jsonl").read_text().splitlines()
-    # One primary point plus one per model, per record; appends, never rewrites.
-    per_record = 1 + len(gate.MODEL_WORKLOADS)
+    # One primary point, one per model and the cold and warm sweep, per
+    # record; appends, never rewrites.
+    per_record = 1 + len(gate.MODEL_WORKLOADS) + 2
     assert len(lines) == 2 * per_record
     entry = json.loads(lines[-per_record])
     assert entry["cycles_per_second"] == 250.0
@@ -79,6 +88,10 @@ def test_record_writes_baseline_and_appends_trajectory(gate, tmp_path, monkeypat
     assert "model" not in entry  # the primary point carries no model tag
     tagged = [json.loads(line) for line in lines if "model" in json.loads(line)]
     assert {e["model"] for e in tagged} == set(gate.MODEL_WORKLOADS)
+    cold, warm = (json.loads(line) for line in lines[-2:])
+    assert (cold["sweep"], warm["sweep"]) == ("cold", "warm")
+    assert cold["git_sha"] == warm["git_sha"] == "f" * 40
+    assert cold["wall_seconds"] == 4.0 and warm["wall_seconds"] == 0.01
 
 
 def test_record_drops_bench_records_into_the_ledger(gate, tmp_path, monkeypatch, capsys):

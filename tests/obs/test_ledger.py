@@ -9,11 +9,21 @@ simulations replayed byte-identically) live in
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
+import importlib
 import json
+import pickle
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.obs.ledger as ledger_module
+from repro.analysis.isolation import MODEL_MODULES, import_closure
+from repro.analysis.phases import SourceResolver
 from repro.core.config import FR6, FR13
 from repro.baselines.vc.config import VC8
 from repro.harness.experiment import ExperimentResult
@@ -212,7 +222,9 @@ def test_gc_keeps_current_evicts_corrupt_and_stale(ledger, tmp_path, monkeypatch
     monkeypatch.setattr(
         ledger_module,
         "_module_source",
-        lambda module: real_source(module) + (b"#x" if module == "repro.core.network" else b""),
+        lambda module: real_source(module) + b"#x"
+        if module == "repro.core.network"
+        else real_source(module),
     )
     kept, evicted = RunLedger(tmp_path / "runs").gc()
     assert (kept, evicted) == (0, 1)
@@ -293,3 +305,254 @@ def test_wall_clock_never_reaches_digests(ledger):
     assert record["result_digest"] == content_digest(record["result"])
     assert "wall" not in canonical_json(record["identity"])
     assert "wall" not in canonical_json(record["result"])
+
+
+# -- the import memo behind the code digest ----------------------------------
+
+MODELS = ("FR", "VC", "WH")
+
+
+@contextlib.contextmanager
+def _edited_tree():
+    """Simulated source edits, served through the ledger's one read seam."""
+    edits: dict[str, bytes] = {}
+    real_source = ledger_module._module_source
+
+    def read(module: str):
+        return edits[module] if module in edits else real_source(module)
+
+    with mock.patch.object(ledger_module, "_module_source", read):
+        yield edits
+
+
+class _ParsingResolver(SourceResolver):
+    """The reference: no memo, every module read through the seam and parsed."""
+
+    def module_source(self, module: str):
+        return ledger_module._module_source(module)
+
+
+def _unmemoised_digests() -> dict[str, str]:
+    resolver = _ParsingResolver()
+    digests = {}
+    for model in MODELS:
+        stop = frozenset(
+            module
+            for kind, modules in MODEL_MODULES.items()
+            if kind != model
+            for module in modules
+        )
+        members: set[str] = set()
+        for root in ("repro.harness.experiment", *MODEL_MODULES[model]):
+            members.update(import_closure(root, resolver, stop=stop))
+        digest = hashlib.sha256()
+        for module in sorted(members):
+            source = ledger_module._module_source(module)
+            digest.update(module.encode() + b"\x00" + hashlib.sha256(source).digest() + b"\x00")
+        digests[model] = digest.hexdigest()
+    return digests
+
+
+def _digests(store) -> dict[str, str]:
+    fresh = RunLedger(store)  # digests cache per instance
+    return {model: fresh.code_digest(model) for model in MODELS}
+
+
+def _memo(store):
+    return store / ledger_module._MEMO_NAME
+
+
+def _memo_verifies(store) -> bool:
+    payload = json.loads(_memo(store).read_text())
+    return payload["digest"] == content_digest(payload["modules"])
+
+
+def test_digest_follows_an_import_the_edit_added(tmp_path):
+    """Hash what you parse: an import that exists only in the edited bytes is
+    followed, so the module it names is covered by the digest."""
+    store = tmp_path / "runs"
+    with _edited_tree() as edits:
+        before = _digests(store)
+        network = ledger_module._module_source("repro.core.network")
+        edits["repro.core.network"] = network + b"\nimport repro.obs.heatmap\n"
+        with_import = _digests(store)
+        heatmap = ledger_module._module_source("repro.obs.heatmap")
+        edits["repro.obs.heatmap"] = heatmap + b"\n# edited\n"
+        heatmap_edited = _digests(store)
+    assert with_import["FR"] != before["FR"]
+    assert heatmap_edited["FR"] != with_import["FR"]  # heatmap is in the closure now
+    assert heatmap_edited["VC"] == with_import["VC"] == before["VC"]
+
+
+def test_warm_digest_parses_nothing_and_leaves_the_memo_alone(tmp_path):
+    store = tmp_path / "runs"
+    cold = _digests(store)
+    assert cold == _unmemoised_digests()
+    assert _memo_verifies(store)
+    with mock.patch.object(ledger_module.ast, "parse", side_effect=AssertionError("parsed")), \
+            mock.patch.object(ledger_module, "atomic_write_text") as write:
+        assert _digests(store) == cold
+    write.assert_not_called()
+
+
+def _truncate(text: str) -> str:
+    return text[: len(text) // 2]
+
+
+def _flip_a_bit(text: str) -> str:
+    data = bytearray(text.encode())
+    data[data.index(b"repro.sim")] ^= 0x01  # inside an import statement
+    return data.decode()
+
+
+def _wrong_self_digest(text: str) -> str:
+    payload = json.loads(text)
+    payload["modules"]["repro.core.network"]["imports"] = []
+    return canonical_json(payload)
+
+
+def _entry_for_other_bytes(text: str) -> str:
+    # A memo that verifies, with an entry for bytes the file does not have.
+    modules = json.loads(text)["modules"]
+    modules["repro.core.network"] = {"sha256": "0" * 64, "imports": []}
+    return canonical_json({"digest": content_digest(modules), "modules": modules})
+
+
+@pytest.mark.parametrize(
+    "damage", [_truncate, _flip_a_bit, _wrong_self_digest, _entry_for_other_bytes]
+)
+def test_damaged_memo_is_rewritten_never_trusted(tmp_path, damage):
+    store = tmp_path / "runs"
+    good = _digests(store)
+    good_memo = _memo(store).read_text()
+    _memo(store).write_text(damage(good_memo))
+    assert _digests(store) == good
+    assert _memo(store).read_text() == good_memo
+
+
+def test_memo_is_not_a_record(ledger):
+    ledger.record_experiment(_identity(ledger), _result())
+    memo = _memo(ledger.root)
+    assert memo.exists() and memo not in list(ledger.root.glob("*.json"))
+    records, corrupt = ledger.scan()
+    assert len(records) == 1 and corrupt == []
+    with pytest.raises(LedgerError, match="no run record matching"):
+        ledger.resolve(memo.name[:4])
+
+
+def test_memo_is_written_atomically_and_its_temp_file_is_swept(ledger):
+    written = []
+    real_write = ledger_module.atomic_write_text
+
+    def spy(path, text):
+        written.append(path)
+        real_write(path, text)
+
+    with mock.patch.object(ledger_module, "atomic_write_text", spy):
+        ledger.code_digest("FR")
+    assert written == [_memo(ledger.root)]
+    assert sorted(path.name for path in ledger.root.iterdir()) == [_memo(ledger.root).name]
+    # What an interrupted atomic write of the memo would leave behind.
+    orphan = ledger.root / f"{_memo(ledger.root).name}.12345.tmp"
+    orphan.write_text("partial")
+    ledger.gc()
+    assert not orphan.exists()
+
+
+def test_gc_keeps_the_memo_and_gc_all_removes_it(ledger):
+    ledger.record_experiment(_identity(ledger), _result())
+    assert ledger.gc() == (1, 0)
+    assert _memo(ledger.root).exists()
+    assert ledger.gc(wipe_all=True) == (0, 1)
+    assert list(ledger.root.iterdir()) == []
+
+
+def test_unwritable_store_still_yields_the_digest(tmp_path):
+    (tmp_path / "archive").write_text("not a directory")
+    nowhere = RunLedger(tmp_path / "archive" / "runs")  # mkdir cannot succeed
+    assert nowhere.code_digest("FR") == RunLedger(tmp_path / "runs").code_digest("FR")
+
+
+def test_pickled_ledger_carries_digests_but_no_memo(ledger):
+    digests = {model: ledger.code_digest(model) for model in MODELS}
+    clone = pickle.loads(pickle.dumps(ledger))
+    assert clone._imports is None and ledger._imports is not None
+    with mock.patch.object(ledger_module, "_module_source", side_effect=AssertionError("read")):
+        assert {model: clone.code_digest(model) for model in MODELS} == digests
+
+
+def test_new_submodule_file_becomes_an_edge_without_any_byte_changing(tmp_path, monkeypatch):
+    """``from pkg import name`` names a module exactly when ``pkg/name.py``
+    exists today: the memo remembers the statement, never what it resolved to."""
+    package = tmp_path / "repro_memo_fixture"  # "repro*": the closure follows it
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "entry.py").write_text("from repro_memo_fixture import late\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    store = tmp_path / "runs"
+    try:
+        with _edited_tree() as edits:
+            network = ledger_module._module_source("repro.core.network")
+            edits["repro.core.network"] = network + b"\nimport repro_memo_fixture.entry\n"
+            before = _digests(store)
+            assert before == _unmemoised_digests()
+            memo = _memo(store).read_text()
+            (package / "late.py").write_text("import repro.obs.heatmap\n")
+            importlib.invalidate_caches()
+            after = _digests(store)
+            assert after == _unmemoised_digests()
+            assert after["FR"] != before["FR"]
+            # entry.py is the same bytes, so its memo entry was used as it was.
+            assert json.loads(_memo(store).read_text())["modules"]["repro_memo_fixture.entry"] \
+                == json.loads(memo)["modules"]["repro_memo_fixture.entry"]
+    finally:
+        for name in [name for name in sys.modules if name.startswith("repro_memo_fixture")]:
+            del sys.modules[name]
+
+
+def _edit(module: str):
+    def apply(edits, store, step):
+        edits[module] = ledger_module._module_source(module) + b"\n# edit %d\n" % step
+
+    return apply
+
+
+def _add_import(edits, store, step):
+    source = ledger_module._module_source("repro.core.network")
+    edits["repro.core.network"] = source + b"\nfrom repro.obs import heatmap, ghost\n"
+
+
+def _add_submodule(edits, store, step):
+    # With _add_import, `ghost` turns from a name into a module edge.
+    edits["repro.obs.ghost"] = b"import repro.analysis.cdg  # %d\n" % step
+
+
+def _delete_memo(edits, store, step):
+    _memo(store).unlink(missing_ok=True)
+
+
+def _revert(edits, store, step):
+    edits.clear()
+
+
+_MUTATIONS = [
+    _edit("repro.core.router"),  # inside every closure
+    _edit("repro.baselines.vc.router"),  # inside VC's only
+    _edit("repro.obs.heatmap"),  # outside, until _add_import
+    _add_import,
+    _add_submodule,
+    _delete_memo,
+    _revert,
+]
+
+
+@given(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=6))
+@settings(max_examples=10, deadline=None)
+def test_memoised_digest_equals_unmemoised_across_mutations(tmp_path_factory, mutations):
+    store = tmp_path_factory.mktemp("memo") / "runs"
+    with _edited_tree() as edits:
+        assert _digests(store) == _unmemoised_digests()
+        for step, mutate in enumerate(mutations):
+            mutate(edits, store, step)
+            assert _digests(store) == _unmemoised_digests()
+            assert _memo_verifies(store)

@@ -4,21 +4,27 @@ The parallel sweep backend makes several processes write one store at once,
 so the store's two promises are exercised across real processes here: a
 record on disk is either absent or complete (verified on every read), and an
 interrupted write leaves nothing but an orphan temp file that ``gc`` sweeps.
+The import memo is the one file every process of a fresh store rewrites, so
+it gets the same treatment.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
+from unittest import mock
 
 import pytest
+
+import repro.obs.ledger as ledger_module
 
 from repro.core.config import FR6
 from repro.harness.experiment import ExperimentResult
 from repro.harness.presets import get_preset
 from repro.obs import exporters
-from repro.obs.ledger import RunLedger
+from repro.obs.ledger import RunLedger, content_digest
 from repro.topology.mesh import Mesh2D
 
 pytestmark = pytest.mark.skipif(
@@ -112,3 +118,32 @@ def test_sigkill_mid_write_leaves_only_an_orphan_that_gc_sweeps(tmp_path):
     # The rerun that follows a crash simply records the missing point.
     reader.record_experiment(victim, _result(0.3))
     assert len(reader.scan()[0]) == 2
+
+
+MODELS = ("FR", "VC", "WH")
+
+
+def _warm_the_store(store, barrier, out) -> None:
+    ledger = RunLedger(store)
+    barrier.wait(timeout=60)
+    out.write_text(json.dumps([ledger.code_digest(model) for model in MODELS]))
+
+
+def test_processes_warming_one_fresh_store_agree_and_leave_a_verifying_memo(tmp_path):
+    alone = RunLedger(tmp_path / "alone")
+    expected = [alone.code_digest(model) for model in MODELS]
+    store = tmp_path / "runs"
+    barrier = multiprocessing.get_context("fork").Barrier(WRITERS)
+    outs = [tmp_path / f"digests{n}.json" for n in range(WRITERS)]
+    warmers = [_fork(_warm_the_store, store, barrier, out) for out in outs]
+    for warmer in warmers:
+        warmer.join(timeout=60)
+        assert warmer.exitcode == 0
+    assert [json.loads(out.read_text()) for out in outs] == [expected] * WRITERS
+    assert [path.name for path in store.iterdir()] == [ledger_module._MEMO_NAME]
+    payload = json.loads((store / ledger_module._MEMO_NAME).read_text())
+    assert payload["digest"] == content_digest(payload["modules"])
+    # Whichever writer won, the memo it left answers for the whole tree.
+    with mock.patch.object(ledger_module.ast, "parse", side_effect=AssertionError("parsed")):
+        warm = RunLedger(store)
+        assert [warm.code_digest(model) for model in MODELS] == expected

@@ -15,7 +15,10 @@ would drift in silently.  This tool closes the loop:
     (``benchmarks/results/BENCH_trajectory.jsonl``).  It then runs the
     per-model quick points (VC8, WH8, and FR6 on a 16x16 mesh), writes
     them to ``benchmarks/results/BENCH_models.json``, and appends one
-    trajectory line per model (tagged with a ``model`` field).  All files
+    trajectory line per model (tagged with a ``model`` field).  Last it
+    times the end-to-end number a user waits on -- one quick load sweep
+    cold into a fresh run ledger, then replayed warm from it -- and appends
+    one line for each (tagged ``sweep``; recorded, not gated).  All files
     are committed, so the trajectory accumulates one point per re-record
     across the repo's history.
 
@@ -70,6 +73,12 @@ MODEL_WORKLOADS = {
         "seed": 1,
         "mesh": [16, 16],
     },
+}
+
+#: The end-to-end workload: one quick load sweep, cold into a fresh run
+#: ledger (default pool width) and then replayed warm from it.
+SWEEP_WORKLOAD: dict[str, Any] = {
+    "config": "FR6", "loads": [0.2, 0.3, 0.4], "preset": "quick", "seed": 1,
 }
 
 
@@ -138,6 +147,30 @@ def run_benchmark(workload: dict[str, Any] | None = None) -> dict[str, Any]:
     return report
 
 
+def run_sweeps() -> dict[str, Any]:
+    """Time ``SWEEP_WORKLOAD`` cold and warm; a profiler report, one phase each."""
+    import tempfile
+
+    from repro.harness.sweep import run_load_sweep
+    from repro.obs.ledger import RunLedger
+    from repro.obs.profile import SimProfiler
+
+    profiler = SimProfiler()
+    with tempfile.TemporaryDirectory() as store:
+        for phase in ("cold", "warm"):
+            profiler.enter_phase(phase)
+            profiler.begin()
+            sweep = run_load_sweep(
+                _resolve_config(SWEEP_WORKLOAD["config"]),
+                SWEEP_WORKLOAD["loads"],
+                preset=SWEEP_WORKLOAD["preset"],
+                seed=SWEEP_WORKLOAD["seed"],
+                ledger=RunLedger(store),  # a fresh object, as each CLI run makes
+            )
+            profiler.end(sum(point.cycles_simulated for point in sweep.points))
+    return profiler.report()
+
+
 def git_sha() -> str:
     from repro.obs.manifest import git_sha as manifest_git_sha
 
@@ -203,6 +236,11 @@ def record(args: argparse.Namespace) -> int:
     with open(args.models_baseline, "w", encoding="utf-8") as handle:
         json.dump(models_baseline, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+    for phase, timing in run_sweeps()["phases"].items():
+        entries.append({"git_sha": sha, "sweep": phase, **timing})
+        print(f"  {'sweep ' + phase:>10}: {timing['wall_seconds']:>10.3f} s "
+              f"({timing['cycles']} cycles replayed or simulated)")
 
     with open(args.trajectory, "a", encoding="utf-8") as handle:
         for entry in entries:
