@@ -5,9 +5,10 @@ flow control removes buffer turnaround (propagation + credit delay) and
 routing/arbitration from the data path, which is why its latency curves sit
 below virtual-channel flow control's.  A :class:`LatencyAttributor`
 demonstrates that mechanism instead of only its endpoint: it subscribes to
-the typed event bus, reconstructs each packet's lifecycle from the events
-the probe already emits, and decomposes the packet's end-to-end latency
-into named components that **sum exactly** to the measured latency.
+the typed event bus at field level (no event record is built on its
+account), reconstructs each packet's lifecycle from the events the probe
+already publishes, and decomposes the packet's end-to-end latency into
+named components that **sum exactly** to the measured latency.
 
 The decomposition follows the packet's *critical flit* -- the flit whose
 ejection completes the packet -- through a chain of milestones: creation,
@@ -47,10 +48,10 @@ cannot produce is structurally zero for it, which *is* the paper's point):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from repro.obs import events as ev
-from repro.obs.events import EventBus, NetworkEvent
+from repro.obs.events import EventBus, FieldSubscriber
 
 if TYPE_CHECKING:
     from repro.sim.netbase import NetworkModel
@@ -87,8 +88,7 @@ class AttributionError(ValueError):
     """A lifecycle that should be attributable failed its invariants."""
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One contiguous span of a packet's life assigned to one component."""
 
     component: str
@@ -101,7 +101,7 @@ class Segment:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PacketAttribution:
     """One packet's end-to-end latency, decomposed.
 
@@ -136,8 +136,8 @@ class PacketAttribution:
                 f"packet {self.packet_id}: components sum to {total} but "
                 f"measured latency is {self.latency}"
             )
-        negative = {k: v for k, v in self.components.items() if v < 0}
-        if negative:
+        if min(self.components.values(), default=0) < 0:
+            negative = {k: v for k, v in self.components.items() if v < 0}
             raise AttributionError(
                 f"packet {self.packet_id}: negative components {negative}"
             )
@@ -161,7 +161,8 @@ class LatencyAttributor:
     """Reconstructs packet lifecycles from bus events and attributes them.
 
     Subscribe it to a bus *before* a probe attaches (``subscribe`` sets the
-    kinds ``bus.wants``), or construct it with the bus directly::
+    kinds ``bus.wants``, and the probe hooks only those), or construct it
+    with the bus directly::
 
         bus = EventBus()
         attributor = LatencyAttributor(bus)
@@ -207,12 +208,12 @@ class LatencyAttributor:
 
     def subscribe(self, bus: EventBus) -> "LatencyAttributor":
         """Subscribe to exactly the kinds the reconstruction needs."""
-        bus.subscribe(ev.PACKET_CREATED, self._on_created)
-        bus.subscribe(ev.PACKET_DELIVERED, self._on_delivered)
-        bus.subscribe(ev.DATA_ARRIVAL, self._on_flit_event(_ARRIVAL))
-        bus.subscribe(ev.FLIT_FORWARD, self._on_forward)
-        bus.subscribe(ev.DATA_EJECT, self._on_flit_event(_EJECT))
-        bus.subscribe(ev.RESERVATION_DENY, self._on_deny)
+        bus.subscribe_fields(ev.PACKET_CREATED, self._on_created)
+        bus.subscribe_fields(ev.PACKET_DELIVERED, self._on_delivered)
+        bus.subscribe_fields(ev.DATA_ARRIVAL, self._on_flit_event(_ARRIVAL))
+        bus.subscribe_fields(ev.FLIT_FORWARD, self._on_forward)
+        bus.subscribe_fields(ev.DATA_EJECT, self._on_flit_event(_EJECT))
+        bus.subscribe_fields(ev.RESERVATION_DENY, self._on_deny)
         return self
 
     def configure_for(self, network: "NetworkModel") -> "LatencyAttributor":
@@ -227,35 +228,56 @@ class LatencyAttributor:
         """Mark packets created in ``[start, end)`` as the measured sample."""
         self.window = (start, end)
 
-    # -- event handlers ------------------------------------------------------
+    # -- event handlers (field subscribers: the hot path) --------------------
 
-    def _on_created(self, event: NetworkEvent) -> None:
-        self._open[event.packet_id] = _OpenPacket(event.cycle, event.node)
+    def _on_created(
+        self, cycle: int, node: int, packet_id: int, port: int, vc: int, flit_index: int, value: int
+    ) -> None:
+        self._open[packet_id] = _OpenPacket(cycle, node)
 
-    def _on_flit_event(self, tag: int) -> "_FlitHandler":
-        return _FlitHandler(self, tag)
+    def _on_flit_event(self, tag: int) -> FieldSubscriber:
+        """A subscriber appending ``tag`` entries to the packet's timeline."""
+        open_packet = self._open.get
 
-    def _on_forward(self, event: NetworkEvent) -> None:
-        state = self._open.get(event.packet_id)
+        def record(
+            cycle: int, node: int, packet_id: int, port: int, vc: int, flit_index: int, value: int
+        ) -> None:
+            state = open_packet(packet_id)
+            if state is None:
+                return
+            timeline = state.flits.get(flit_index)
+            if timeline is None:
+                state.flits[flit_index] = [(cycle, tag, node)]
+            else:
+                timeline.append((cycle, tag, node))
+
+        return record
+
+    def _on_forward(
+        self, cycle: int, node: int, packet_id: int, port: int, vc: int, flit_index: int, value: int
+    ) -> None:
+        state = self._open.get(packet_id)
         if state is None:
             return
         state.has_forwards = True
-        state.flits.setdefault(event.flit_index, []).append(
-            (event.cycle, _FORWARD, event.node)
-        )
+        state.flits.setdefault(flit_index, []).append((cycle, _FORWARD, node))
 
-    def _on_deny(self, event: NetworkEvent) -> None:
-        state = self._open.get(event.packet_id)
+    def _on_deny(
+        self, cycle: int, node: int, packet_id: int, port: int, vc: int, flit_index: int, value: int
+    ) -> None:
+        state = self._open.get(packet_id)
         if state is not None:
             state.denies += 1
 
-    def _on_delivered(self, event: NetworkEvent) -> None:
-        state = self._open.pop(event.packet_id, None)
+    def _on_delivered(
+        self, cycle: int, node: int, packet_id: int, port: int, vc: int, flit_index: int, value: int
+    ) -> None:
+        state = self._open.pop(packet_id, None)
         if state is None:
             self.unattributed += 1  # created before the attributor attached
             return
         try:
-            record = self._reconstruct(event.packet_id, state, event)
+            record = self._reconstruct(packet_id, state, cycle, node)
         except AttributionError as failure:
             self.unattributed += 1
             self.last_failure = str(failure)
@@ -268,9 +290,8 @@ class LatencyAttributor:
     # -- reconstruction ------------------------------------------------------
 
     def _reconstruct(
-        self, packet_id: int, state: _OpenPacket, delivered: NetworkEvent
+        self, packet_id: int, state: _OpenPacket, delivered_cycle: int, destination: int
     ) -> PacketAttribution:
-        delivered_cycle = delivered.cycle
         critical = self._critical_flit(packet_id, state, delivered_cycle)
         timeline = state.flits[critical]
         measured = False
@@ -287,7 +308,7 @@ class LatencyAttributor:
         return PacketAttribution(
             packet_id=packet_id,
             source=state.source,
-            destination=delivered.node,
+            destination=destination,
             created_cycle=state.created,
             delivered_cycle=delivered_cycle,
             model=model,
@@ -459,20 +480,3 @@ class LatencyAttributor:
     def iter_records(self, measured_only: bool = False) -> Iterable[PacketAttribution]:
         return self.measured_records() if measured_only else iter(self.records)
 
-
-class _FlitHandler:
-    """A per-tag bus subscriber appending to the owning packet's timeline."""
-
-    __slots__ = ("attributor", "tag")
-
-    def __init__(self, attributor: LatencyAttributor, tag: int) -> None:
-        self.attributor = attributor
-        self.tag = tag
-
-    def __call__(self, event: NetworkEvent) -> None:
-        state = self.attributor._open.get(event.packet_id)
-        if state is None:
-            return
-        state.flits.setdefault(event.flit_index, []).append(
-            (event.cycle, self.tag, event.node)
-        )

@@ -1,16 +1,22 @@
 """The typed event taxonomy and the event bus.
 
-Every observable occurrence in a network is a :class:`NetworkEvent`: a
-frozen record of *what* happened (``kind``), *where* (``node``, ``port``,
-``vc``), *to whom* (``packet_id``, ``flit_index``), and *when* (``cycle``).
-The taxonomy is shared by all three flow-control models so a VC run and an
-FR run can be compared event-for-event; kinds that only one model can
-produce (e.g. ``reservation_grant``) simply never appear in the other's
-stream.
+Every observable occurrence in a network is described by the same fields:
+*what* happened (``kind``), *where* (``node``, ``port``, ``vc``), *to whom*
+(``packet_id``, ``flit_index``), and *when* (``cycle``).  The taxonomy is
+shared by all three flow-control models so a VC run and an FR run can be
+compared event-for-event; kinds that only one model can produce (e.g.
+``reservation_grant``) simply never appear in the other's stream.
 
-The :class:`EventBus` fans events out to subscribers.  It is designed for
-the *detached* case to cost nothing: networks only construct and emit
-events through hooks that are ``None`` until a
+The :class:`EventBus` fans events out to subscribers at two levels.  A
+*field* subscriber (``subscribe_fields``) is called with the bare fields
+and no record is ever built for it; an *object* subscriber (``subscribe``,
+``subscribe_all``) receives a :class:`NetworkEvent`, which is materialised
+-- and its ``detail`` string rendered -- once per event, and only while an
+object subscriber for that kind exists.  Probes feed the bus through the
+per-kind callables ``publisher`` hands out.
+
+The bus is designed for the *detached* case to cost nothing: networks only
+publish through hooks that are ``None`` until a
 :class:`~repro.obs.probe.NetworkProbe` installs them, so an unobserved run
 executes exactly the same instruction stream as before this layer existed.
 """
@@ -18,8 +24,7 @@ executes exactly the same instruction stream as before this layer existed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple, Protocol
 
 #: A control flit entered a router's control VC queue (FR only).  A cycle of
 #: ``-1`` marks the on-node injection hop from the NI.
@@ -63,8 +68,7 @@ EVENT_KINDS: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class NetworkEvent:
+class NetworkEvent(NamedTuple):
     """One observed event.  Fields that do not apply to a kind stay at their
     defaults and are omitted from the JSONL export."""
 
@@ -85,32 +89,68 @@ class NetworkEvent:
             "kind": self.kind,
             "node": self.node,
         }
-        for field in fields(self):
-            if field.name in ("cycle", "kind", "node"):
-                continue
-            value = getattr(self, field.name)
-            if value != field.default:
-                record[field.name] = value
+        for index, name, default in _OPTIONAL_FIELDS:
+            value: Any = self[index]
+            if value != default:
+                record[name] = value
         return record
 
 
+#: ``(position, name, default)`` of every field ``as_dict`` may omit.
+_OPTIONAL_FIELDS: tuple[tuple[int, str, Any], ...] = tuple(
+    (index, name, NetworkEvent._field_defaults[name])
+    for index, name in enumerate(NetworkEvent._fields)
+    if name in NetworkEvent._field_defaults
+)
+
 Subscriber = Callable[[NetworkEvent], None]
+#: Called as ``(cycle, node, packet_id, port, vc, flit_index, value)``; a
+#: field that does not apply to the kind is ``-1``.
+FieldSubscriber = Callable[[int, int, int, int, int, int, int], None]
+
+
+class Publisher(Protocol):
+    """One kind's way into the bus: bare fields, positionally.
+
+    ``detail`` is whatever the publisher's ``render`` turns into the
+    event's detail string (the string itself when there is no ``render``).
+    """
+
+    def __call__(
+        self,
+        cycle: int,
+        node: int,
+        packet_id: int = -1,
+        port: int = -1,
+        vc: int = -1,
+        flit_index: int = -1,
+        value: int = -1,
+        detail: Any = "",
+    ) -> None: ...
 
 
 class EventBus:
-    """Fans :class:`NetworkEvent` records out to per-kind subscribers."""
+    """Fans events out to per-kind field and object subscribers.
+
+    Subscribe before a probe attaches: probes install a hook only for the
+    kinds ``wants`` reports.  A publisher reads the live subscriber lists,
+    so a subscription made after its kind's publisher was handed out is
+    still served from the next event on.
+    """
 
     def __init__(self) -> None:
+        self._fields: dict[str, list[FieldSubscriber]] = {}
         self._by_kind: dict[str, list[Subscriber]] = {}
         self._all: list[Subscriber] = []
         self.events_emitted = 0
 
     def subscribe(self, kind: str, subscriber: Subscriber) -> None:
-        """Receive every event of one ``kind``."""
-        if kind not in EVENT_KINDS:
-            known = ", ".join(EVENT_KINDS)
-            raise ValueError(f"unknown event kind {kind!r}; known kinds: {known}")
-        self._by_kind.setdefault(kind, []).append(subscriber)
+        """Receive every event of one ``kind`` as a :class:`NetworkEvent`."""
+        self._by_kind.setdefault(_known(kind), []).append(subscriber)
+
+    def subscribe_fields(self, kind: str, subscriber: FieldSubscriber) -> None:
+        """Receive the bare fields of every event of one ``kind``."""
+        self._fields.setdefault(_known(kind), []).append(subscriber)
 
     def subscribe_all(self, subscriber: Subscriber) -> None:
         """Receive every event regardless of kind."""
@@ -119,18 +159,66 @@ class EventBus:
     def wants(self, kind: str) -> bool:
         """Whether any subscriber would see an event of ``kind``.
 
-        Probes consult this so that a bus subscribed only to, say, ejections
-        does not pay for building reservation-table events.
+        Probes consult this at attach time so that a bus subscribed only
+        to, say, ejections does not pay for reservation-table hooks.
         """
-        return bool(self._all) or kind in self._by_kind
+        return bool(self._all or self._by_kind.get(kind) or self._fields.get(kind))
+
+    def publisher(
+        self, kind: str, render: Callable[[Any], str] | None = None
+    ) -> Publisher:
+        """The callable a probe hook feeds events of ``kind`` through.
+
+        With only field subscribers listening it counts the event and calls
+        them with the fields as given: no record, no ``render``.  While an
+        object subscriber exists it builds the :class:`NetworkEvent` and
+        hands it to :meth:`emit`.
+        """
+        fields = self._fields.setdefault(_known(kind), [])
+        by_kind = self._by_kind.setdefault(kind, [])
+        everything = self._all
+
+        def publish(
+            cycle: int,
+            node: int,
+            packet_id: int = -1,
+            port: int = -1,
+            vc: int = -1,
+            flit_index: int = -1,
+            value: int = -1,
+            detail: Any = "",
+        ) -> None:
+            if everything or by_kind:
+                text = detail if render is None else render(detail)
+                self.emit(
+                    NetworkEvent(cycle, kind, node, packet_id, port, vc, flit_index, value, text)
+                )
+                return
+            self.events_emitted += 1
+            for subscriber in fields:
+                subscriber(cycle, node, packet_id, port, vc, flit_index, value)
+
+        return publish
 
     def emit(self, event: NetworkEvent) -> None:
-        """Deliver one event to its subscribers, in subscription order."""
+        """Deliver one event object: field subscribers of its kind first,
+        then its kind's object subscribers, then the catch-all ones, each
+        group in subscription order."""
         self.events_emitted += 1
-        for subscriber in self._by_kind.get(event.kind, ()):
+        cycle, kind, node, packet_id, port, vc, flit_index, value, _detail = event
+        for listener in self._fields.get(kind, ()):
+            listener(cycle, node, packet_id, port, vc, flit_index, value)
+        for subscriber in self._by_kind.get(kind, ()):
             subscriber(event)
         for subscriber in self._all:
             subscriber(event)
+
+
+def _known(kind: str) -> str:
+    if kind not in EVENT_KINDS:
+        known = ", ".join(EVENT_KINDS)
+        raise ValueError(f"unknown event kind {kind!r}; known kinds: {known}")
+    return kind
 
 
 class EventCollector:

@@ -1,13 +1,15 @@
 """Attach an event bus to a network model, uniformly across flow controls.
 
 A :class:`NetworkProbe` is the one piece of code that knows where each
-network's observability hooks live.  ``attach`` installs bus-emitting
-wrappers on those hooks (saving whatever was there, so stats hooks like the
+network's observability hooks live.  ``attach`` asks the bus for one
+publisher per event kind that has a listener and installs hooks that feed
+it bare fields (saving whatever was there, so stats hooks like the
 control-lead tracker keep working underneath); ``detach`` restores them
-exactly.  The probe never touches router *state* -- only the ``on_*``
-callback attributes and the ejection callables the models expose for
-observers -- so an attached probe cannot perturb a run (the golden-trace
-and digest tests pin this).
+exactly.  Which kinds are hooked is decided once, at attach; the hooks
+themselves never ask the bus anything.  The probe never touches router
+*state* -- only the ``on_*`` callback attributes and the ejection callables
+the models expose for observers -- so an attached probe cannot perturb a
+run (the golden-trace and digest tests pin this).
 
 Event coverage by model:
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.obs import events as ev
-from repro.obs.events import EventBus, NetworkEvent
+from repro.obs.events import EventBus, Publisher
 
 if TYPE_CHECKING:
     from repro.baselines.vc.flits import VCFlit
@@ -55,7 +57,7 @@ class NetworkProbe:
     # -- lifecycle ----------------------------------------------------------
 
     def attach(self, network: "NetworkModel") -> "NetworkProbe":
-        """Install bus-emitting hooks on ``network`` (chainable)."""
+        """Install bus-publishing hooks on ``network`` (chainable)."""
         # Imported here, not at module scope: repro.sim re-exports the
         # bus-backed TraceLog, so a module-level import of the network
         # classes would be circular.
@@ -67,13 +69,14 @@ class NetworkProbe:
         if isinstance(network, FRNetwork):
             self._attach_fr(network)
         elif isinstance(network, VCNetwork):  # wormhole subclasses VCNetwork
-            self._attach_vc(network)
+            for router in network.routers:
+                self._wire(router, _VC_ROUTER_HOOKS)
         else:
             raise TypeError(
                 f"cannot probe a {type(network).__name__}: expected a "
                 "flit-reservation, virtual-channel, or wormhole network"
             )
-        self._attach_packet_hooks(network)
+        self._wire(network, _PACKET_HOOKS)
         self._network = network
         return self
 
@@ -84,352 +87,232 @@ class NetworkProbe:
         self._saved.clear()
         self._network = None
 
-    def _install(self, owner: Any, attribute: str, hook: Any) -> None:
-        self._saved.append((owner, attribute, getattr(owner, attribute)))
-        setattr(owner, attribute, hook)
+    def _install(self, owner: Any, attribute: str, hook: Callable[..., None]) -> None:
+        """Put ``hook`` in front of whatever ``owner.attribute`` holds."""
+        inner = getattr(owner, attribute)
+        self._saved.append((owner, attribute, inner))
+        setattr(owner, attribute, hook if inner is None else _both(hook, inner))
 
-    # -- shared packet lifecycle hooks --------------------------------------
+    def _wire(self, owner: Any, table: "tuple[_HookSpec, ...]") -> None:
+        """Install ``table``'s hooks for the kinds that have a listener.
 
-    def _attach_packet_hooks(self, network: "NetworkModel") -> None:
-        bus = self.bus
-
-        def created(packet: "Packet", cycle: int) -> None:
-            bus.emit(
-                NetworkEvent(
-                    cycle,
-                    ev.PACKET_CREATED,
-                    packet.source,
-                    packet_id=packet.packet_id,
-                    value=packet.length,
-                    detail=f"to {packet.destination}",
-                )
-            )
-
-        def delivered(packet: "Packet", cycle: int) -> None:
-            bus.emit(
-                NetworkEvent(
-                    cycle,
-                    ev.PACKET_DELIVERED,
-                    packet.destination,
-                    packet_id=packet.packet_id,
-                    value=cycle - packet.creation_cycle,
-                )
-            )
-
-        if bus.wants(ev.PACKET_CREATED):
-            self._install(network, "on_packet_created", self._chain2(
-                getattr(network, "on_packet_created"), created))
-        if bus.wants(ev.PACKET_DELIVERED):
-            self._install(network, "on_packet_delivered", self._chain2(
-                getattr(network, "on_packet_delivered"), delivered))
-
-    @staticmethod
-    def _chain2(
-        inner: Optional[Callable[[Any, int], None]],
-        added: Callable[[Any, int], None],
-    ) -> Callable[[Any, int], None]:
-        if inner is None:
-            return added
-
-        def hook(first: Any, second: int) -> None:
-            added(first, second)
-            inner(first, second)
-
-        return hook
-
-    # -- flit-reservation wiring --------------------------------------------
+        Each install goes in front of the last, so walking the table
+        backwards leaves hooks that share an attribute firing in table
+        order -- the order the event stream is pinned to.
+        """
+        for kind, render, attribute, factory in reversed(table):
+            if self.bus.wants(kind):
+                self._install(owner, attribute, factory(self.bus.publisher(kind, render), owner))
 
     def _attach_fr(self, network: "FRNetwork") -> None:
+        # One scheduler hook reports both buffer actions, so both kinds are
+        # published (and counted) when either has a listener.
+        buffers = None
+        if self.bus.wants(ev.BUFFER_ALLOC) or self.bus.wants(ev.BUFFER_FREE):
+            buffers = (self.bus.publisher(ev.BUFFER_ALLOC), self.bus.publisher(ev.BUFFER_FREE))
         for router in network.routers:
-            node = router.node
-            if self.bus.wants(ev.CONTROL_ARRIVAL):
-                self._install(
-                    router,
-                    "on_control_arrival",
-                    self._fr_control_hook(node, router.on_control_arrival),
-                )
-            if self.bus.wants(ev.DATA_ARRIVAL):
-                self._install(
-                    router,
-                    "on_data_arrival",
-                    self._fr_data_hook(node, router.on_data_arrival),
-                )
-            if self.bus.wants(ev.DATA_EJECT):
-                self._install(router, "eject_data", self._fr_eject_hook(node, router.eject_data))
-            if self.bus.wants(ev.RESERVATION_GRANT):
-                self._install(
-                    router,
-                    "on_reservation_grant",
-                    self._chain_n(router.on_reservation_grant, self._fr_grant_hook(node)),
-                )
-            if self.bus.wants(ev.RESERVATION_DENY):
-                self._install(
-                    router,
-                    "on_reservation_deny",
-                    self._chain_n(router.on_reservation_deny, self._fr_deny_hook(node)),
-                )
-            if self.bus.wants(ev.CREDIT_RETURN):
-                self._install(
-                    router,
-                    "on_credit_return",
-                    self._chain_n(router.on_credit_return, self._fr_credit_hook(node)),
-                )
-            if self.bus.wants(ev.BUFFER_ALLOC) or self.bus.wants(ev.BUFFER_FREE):
+            self._wire(router, _FR_ROUTER_HOOKS)
+            if buffers is not None:
                 for port, scheduler in enumerate(router.input_sched):
                     self._install(
-                        scheduler,
-                        "on_buffer_event",
-                        self._chain_n(
-                            scheduler.on_buffer_event, self._fr_buffer_hook(node, port)
-                        ),
+                        scheduler, "on_buffer_event", _fr_buffer_hook(*buffers, router.node, port)
                     )
 
-    @staticmethod
-    def _chain_n(
-        inner: Optional[Callable[..., None]], added: Callable[..., None]
-    ) -> Callable[..., None]:
-        if inner is None:
-            return added
 
-        def hook(*args: Any) -> None:
-            added(*args)
-            inner(*args)
+def _both(first: Callable[..., None], second: Callable[..., None]) -> Callable[..., None]:
+    def hook(*args: Any) -> None:
+        first(*args)
+        second(*args)
 
-        return hook
+    return hook
 
-    def _fr_control_hook(
-        self, node: int, inner: Optional[Callable[["ControlFlit", int, int], None]]
-    ) -> Callable[["ControlFlit", int, int], None]:
-        bus = self.bus
 
-        def hook(flit: "ControlFlit", at_node: int, cycle: int) -> None:
-            role = "head" if flit.is_head else "body"
-            bus.emit(
-                NetworkEvent(
-                    cycle,
-                    ev.CONTROL_ARRIVAL,
-                    at_node,
-                    packet_id=flit.packet.packet_id,
-                    vc=flit.vcid,
-                    value=len(flit.data_flits),
-                    detail=f"{role}, leads {len(flit.data_flits)}",
-                )
-            )
-            if inner is not None:
-                inner(flit, at_node, cycle)
+# -- detail strings, rendered only when an event object is built -------------
 
-        return hook
 
-    def _fr_data_hook(
-        self, node: int, inner: Optional[Callable[["DataFlit", int, int], None]]
-    ) -> Callable[["DataFlit", int, int], None]:
-        bus = self.bus
+def _destination_detail(packet: "Packet") -> str:
+    return f"to {packet.destination}"
 
-        def hook(flit: "DataFlit", at_node: int, cycle: int) -> None:
-            bus.emit(
-                NetworkEvent(
-                    cycle,
-                    ev.DATA_ARRIVAL,
-                    at_node,
-                    packet_id=flit.packet.packet_id,
-                    flit_index=flit.index,
-                    detail=f"flit #{flit.index}",
-                )
-            )
-            if inner is not None:
-                inner(flit, at_node, cycle)
 
-        return hook
+def _control_detail(flit: "ControlFlit") -> str:
+    role = "head" if flit.is_head else "body"
+    return f"{role}, leads {len(flit.data_flits)}"
 
-    def _fr_eject_hook(
-        self, node: int, inner: Callable[["DataFlit", int], None]
-    ) -> Callable[["DataFlit", int], None]:
-        bus = self.bus
 
-        def hook(flit: "DataFlit", cycle: int) -> None:
-            bus.emit(
-                NetworkEvent(
-                    cycle,
-                    ev.DATA_EJECT,
-                    node,
-                    packet_id=flit.packet.packet_id,
-                    flit_index=flit.index,
-                    detail=f"flit #{flit.index}",
-                )
-            )
-            inner(flit, cycle)
+def _flit_detail(index: int) -> str:
+    return f"flit #{index}"
 
-        return hook
 
-    def _fr_grant_hook(self, node: int) -> Callable[["ControlFlit", int, int, int, int], None]:
-        bus = self.bus
+# -- hooks: one model callback in, one publisher call out --------------------
+#
+# Every factory takes the kind's publisher and the object the hook goes on.
+# Publisher arguments are positional:
+# (cycle, node, packet_id, port, vc, flit_index, value, detail).
 
-        def hook(
-            flit: "ControlFlit", flit_index: int, out_port: int, departure: int, cycle: int
-        ) -> None:
-            bus.emit(
-                NetworkEvent(
-                    cycle,
-                    ev.RESERVATION_GRANT,
-                    node,
-                    packet_id=flit.packet.packet_id,
-                    port=out_port,
-                    flit_index=flit_index,
-                    value=departure,
-                )
-            )
 
-        return hook
+def _created_hook(publish: Publisher, network: Any) -> Callable[["Packet", int], None]:
+    def hook(packet: "Packet", cycle: int) -> None:
+        publish(cycle, packet.source, packet.packet_id, -1, -1, -1, packet.length, packet)
 
-    def _fr_deny_hook(self, node: int) -> Callable[["ControlFlit", int, int], None]:
-        bus = self.bus
+    return hook
 
-        def hook(flit: "ControlFlit", out_port: int, cycle: int) -> None:
-            bus.emit(
-                NetworkEvent(
-                    cycle,
-                    ev.RESERVATION_DENY,
-                    node,
-                    packet_id=flit.packet.packet_id,
-                    port=out_port,
-                )
-            )
 
-        return hook
+def _delivered_hook(publish: Publisher, network: Any) -> Callable[["Packet", int], None]:
+    def hook(packet: "Packet", cycle: int) -> None:
+        latency = cycle - packet.creation_cycle
+        publish(cycle, packet.destination, packet.packet_id, -1, -1, -1, latency)
 
-    def _fr_credit_hook(self, node: int) -> Callable[[str, int, int, int], None]:
-        bus = self.bus
+    return hook
 
-        def hook(credit_kind: str, port: int, value: int, cycle: int) -> None:
-            bus.emit(
-                NetworkEvent(
-                    cycle,
-                    ev.CREDIT_RETURN,
-                    node,
-                    port=port,
-                    value=value,
-                    detail=credit_kind,
-                )
-            )
 
-        return hook
+def _fr_control_hook(publish: Publisher, router: Any) -> Callable[["ControlFlit", int, int], None]:
+    def hook(flit: "ControlFlit", node: int, cycle: int) -> None:
+        leads = len(flit.data_flits)
+        publish(cycle, node, flit.packet.packet_id, -1, flit.vcid, -1, leads, flit)
 
-    def _fr_buffer_hook(self, node: int, port: int) -> Callable[[str, int, int], None]:
-        bus = self.bus
+    return hook
 
-        def hook(action: str, cycle: int, occupied: int) -> None:
-            kind = ev.BUFFER_ALLOC if action == "alloc" else ev.BUFFER_FREE
-            bus.emit(NetworkEvent(cycle, kind, node, port=port, value=occupied))
 
-        return hook
+def _fr_arrival_hook(publish: Publisher, router: Any) -> Callable[["DataFlit", int, int], None]:
+    def hook(flit: "DataFlit", node: int, cycle: int) -> None:
+        index = flit.index
+        publish(cycle, node, flit.packet.packet_id, -1, -1, index, -1, index)
 
-    # -- virtual-channel / wormhole wiring ----------------------------------
+    return hook
 
-    def _attach_vc(self, network: "VCNetwork") -> None:
-        for router in network.routers:
-            node = router.node
-            if self.bus.wants(ev.DATA_ARRIVAL) or self.bus.wants(ev.BUFFER_ALLOC):
-                self._install(
-                    router,
-                    "on_flit_arrival",
-                    self._chain_n(router.on_flit_arrival, self._vc_arrival_hook(node, router)),
-                )
-            if (
-                self.bus.wants(ev.FLIT_FORWARD)
-                or self.bus.wants(ev.BUFFER_FREE)
-                or self.bus.wants(ev.CREDIT_RETURN)
-            ):
-                self._install(
-                    router,
-                    "on_flit_forward",
-                    self._chain_n(router.on_flit_forward, self._vc_forward_hook(node, router)),
-                )
-            if self.bus.wants(ev.DATA_EJECT):
-                self._install(router, "eject", self._vc_eject_hook(node, router.eject))
 
-    def _vc_arrival_hook(self, node: int, router: Any) -> Callable[["VCFlit", int, int, int], None]:
-        bus = self.bus
+def _eject_hook(publish: Publisher, router: Any) -> Callable[["DataFlit | VCFlit", int], None]:
+    node = router.node
 
-        def hook(flit: "VCFlit", port: int, vc: int, cycle: int) -> None:
-            if bus.wants(ev.DATA_ARRIVAL):
-                bus.emit(
-                    NetworkEvent(
-                        cycle,
-                        ev.DATA_ARRIVAL,
-                        node,
-                        packet_id=flit.packet.packet_id,
-                        port=port,
-                        vc=vc,
-                        flit_index=flit.index,
-                        detail=f"flit #{flit.index}",
-                    )
-                )
-            if bus.wants(ev.BUFFER_ALLOC):
-                bus.emit(
-                    NetworkEvent(
-                        cycle,
-                        ev.BUFFER_ALLOC,
-                        node,
-                        port=port,
-                        value=router.pool_occupancy[port],
-                    )
-                )
+    def hook(flit: "DataFlit | VCFlit", cycle: int) -> None:
+        index = flit.index
+        publish(cycle, node, flit.packet.packet_id, -1, -1, index, -1, index)
 
-        return hook
+    return hook
 
-    def _vc_forward_hook(
-        self, node: int, router: Any
-    ) -> Callable[["VCFlit", int, int, int, int], None]:
-        bus = self.bus
 
-        def hook(flit: "VCFlit", port: int, vc: int, out_port: int, cycle: int) -> None:
-            if bus.wants(ev.FLIT_FORWARD):
-                bus.emit(
-                    NetworkEvent(
-                        cycle,
-                        ev.FLIT_FORWARD,
-                        node,
-                        packet_id=flit.packet.packet_id,
-                        port=out_port,
-                        vc=vc,
-                        flit_index=flit.index,
-                    )
-                )
-            if bus.wants(ev.BUFFER_FREE):
-                bus.emit(
-                    NetworkEvent(
-                        cycle,
-                        ev.BUFFER_FREE,
-                        node,
-                        port=port,
-                        value=router.pool_occupancy[port],
-                    )
-                )
-            if bus.wants(ev.CREDIT_RETURN):
-                bus.emit(
-                    NetworkEvent(
-                        cycle, ev.CREDIT_RETURN, node, port=port, vc=vc, detail="vc"
-                    )
-                )
+def _fr_grant_hook(
+    publish: Publisher, router: Any
+) -> Callable[["ControlFlit", int, int, int, int], None]:
+    node = router.node
 
-        return hook
+    def hook(
+        flit: "ControlFlit", flit_index: int, out_port: int, departure: int, cycle: int
+    ) -> None:
+        publish(cycle, node, flit.packet.packet_id, out_port, -1, flit_index, departure)
 
-    def _vc_eject_hook(
-        self, node: int, inner: Callable[["VCFlit", int], None]
-    ) -> Callable[["VCFlit", int], None]:
-        bus = self.bus
+    return hook
 
-        def hook(flit: "VCFlit", cycle: int) -> None:
-            bus.emit(
-                NetworkEvent(
-                    cycle,
-                    ev.DATA_EJECT,
-                    node,
-                    packet_id=flit.packet.packet_id,
-                    flit_index=flit.index,
-                    detail=f"flit #{flit.index}",
-                )
-            )
-            inner(flit, cycle)
 
-        return hook
+def _fr_deny_hook(publish: Publisher, router: Any) -> Callable[["ControlFlit", int, int], None]:
+    node = router.node
+
+    def hook(flit: "ControlFlit", out_port: int, cycle: int) -> None:
+        publish(cycle, node, flit.packet.packet_id, out_port)
+
+    return hook
+
+
+def _fr_credit_hook(publish: Publisher, router: Any) -> Callable[[str, int, int, int], None]:
+    node = router.node
+
+    def hook(credit_kind: str, port: int, value: int, cycle: int) -> None:
+        publish(cycle, node, -1, port, -1, -1, value, credit_kind)
+
+    return hook
+
+
+def _fr_buffer_hook(
+    alloc: Publisher, free: Publisher, node: int, port: int
+) -> Callable[[str, int, int], None]:
+    def hook(action: str, cycle: int, occupied: int) -> None:
+        publish = alloc if action == "alloc" else free
+        publish(cycle, node, -1, port, -1, -1, occupied)
+
+    return hook
+
+
+def _vc_arrival_hook(publish: Publisher, router: Any) -> Callable[["VCFlit", int, int, int], None]:
+    node = router.node
+
+    def hook(flit: "VCFlit", port: int, vc: int, cycle: int) -> None:
+        index = flit.index
+        publish(cycle, node, flit.packet.packet_id, port, vc, index, -1, index)
+
+    return hook
+
+
+def _vc_alloc_hook(publish: Publisher, router: Any) -> Callable[["VCFlit", int, int, int], None]:
+    node, occupancy = router.node, router.pool_occupancy
+
+    def hook(flit: "VCFlit", port: int, vc: int, cycle: int) -> None:
+        publish(cycle, node, -1, port, -1, -1, occupancy[port])
+
+    return hook
+
+
+def _vc_forward_hook(
+    publish: Publisher, router: Any
+) -> Callable[["VCFlit", int, int, int, int], None]:
+    node = router.node
+
+    def hook(flit: "VCFlit", port: int, vc: int, out_port: int, cycle: int) -> None:
+        publish(cycle, node, flit.packet.packet_id, out_port, vc, flit.index)
+
+    return hook
+
+
+def _vc_free_hook(
+    publish: Publisher, router: Any
+) -> Callable[["VCFlit", int, int, int, int], None]:
+    node, occupancy = router.node, router.pool_occupancy
+
+    def hook(flit: "VCFlit", port: int, vc: int, out_port: int, cycle: int) -> None:
+        publish(cycle, node, -1, port, -1, -1, occupancy[port])
+
+    return hook
+
+
+def _vc_credit_hook(
+    publish: Publisher, router: Any
+) -> Callable[["VCFlit", int, int, int, int], None]:
+    node = router.node
+
+    def hook(flit: "VCFlit", port: int, vc: int, out_port: int, cycle: int) -> None:
+        publish(cycle, node, -1, port, vc, -1, -1, "vc")
+
+    return hook
+
+
+#: (kind, detail renderer, attribute the hook goes on, hook factory).
+_HookSpec = tuple[
+    str,
+    Optional[Callable[[Any], str]],
+    str,
+    Callable[[Publisher, Any], Callable[..., None]],
+]
+
+_PACKET_HOOKS: tuple[_HookSpec, ...] = (
+    (ev.PACKET_CREATED, _destination_detail, "on_packet_created", _created_hook),
+    (ev.PACKET_DELIVERED, None, "on_packet_delivered", _delivered_hook),
+)
+
+_FR_ROUTER_HOOKS: tuple[_HookSpec, ...] = (
+    (ev.CONTROL_ARRIVAL, _control_detail, "on_control_arrival", _fr_control_hook),
+    (ev.DATA_ARRIVAL, _flit_detail, "on_data_arrival", _fr_arrival_hook),
+    (ev.DATA_EJECT, _flit_detail, "eject_data", _eject_hook),
+    (ev.RESERVATION_GRANT, None, "on_reservation_grant", _fr_grant_hook),
+    (ev.RESERVATION_DENY, None, "on_reservation_deny", _fr_deny_hook),
+    (ev.CREDIT_RETURN, None, "on_credit_return", _fr_credit_hook),
+)
+
+# A flit arrival reports the arrival, then the buffer it took; a forward
+# reports the crossing, the buffer it freed, then the credit sent upstream.
+_VC_ROUTER_HOOKS: tuple[_HookSpec, ...] = (
+    (ev.DATA_ARRIVAL, _flit_detail, "on_flit_arrival", _vc_arrival_hook),
+    (ev.BUFFER_ALLOC, None, "on_flit_arrival", _vc_alloc_hook),
+    (ev.FLIT_FORWARD, None, "on_flit_forward", _vc_forward_hook),
+    (ev.BUFFER_FREE, None, "on_flit_forward", _vc_free_hook),
+    (ev.CREDIT_RETURN, None, "on_flit_forward", _vc_credit_hook),
+    (ev.DATA_EJECT, _flit_detail, "eject", _eject_hook),
+)

@@ -60,6 +60,12 @@ def _paths(gate, tmp_path, monkeypatch, cps: float):
             "warm": {"cycles": 5000, "wall_seconds": 0.01, "cycles_per_second": 500000.0},
         }},
     )
+    monkeypatch.setattr(
+        gate,
+        "run_observed",
+        lambda: {"cycles": 1844, "plain_wall_seconds": 3.0,
+                 "attributed_wall_seconds": 3.6, "ratio": 1.2},
+    )
     monkeypatch.setattr(gate, "git_sha", lambda: "f" * 40)
     return [
         "--baseline", str(tmp_path / "BENCH_5.json"),
@@ -78,9 +84,9 @@ def test_record_writes_baseline_and_appends_trajectory(gate, tmp_path, monkeypat
     assert baseline["bench"]["cycles_per_second"] == 250.0
     assert baseline["git_sha"] == "f" * 40
     lines = (tmp_path / "BENCH_trajectory.jsonl").read_text().splitlines()
-    # One primary point, one per model and the cold and warm sweep, per
-    # record; appends, never rewrites.
-    per_record = 1 + len(gate.MODEL_WORKLOADS) + 2
+    # One primary point, one per model, the observed pair and the cold and
+    # warm sweep, per record; appends, never rewrites.
+    per_record = 1 + len(gate.MODEL_WORKLOADS) + 1 + 2
     assert len(lines) == 2 * per_record
     entry = json.loads(lines[-per_record])
     assert entry["cycles_per_second"] == 250.0
@@ -88,9 +94,12 @@ def test_record_writes_baseline_and_appends_trajectory(gate, tmp_path, monkeypat
     assert "model" not in entry  # the primary point carries no model tag
     tagged = [json.loads(line) for line in lines if "model" in json.loads(line)]
     assert {e["model"] for e in tagged} == set(gate.MODEL_WORKLOADS)
-    cold, warm = (json.loads(line) for line in lines[-2:])
+    observed, cold, warm = (json.loads(line) for line in lines[-3:])
+    assert observed["observed"] == "attribution"
+    assert observed["ratio"] == 1.2
+    assert (observed["plain_wall_seconds"], observed["attributed_wall_seconds"]) == (3.0, 3.6)
     assert (cold["sweep"], warm["sweep"]) == ("cold", "warm")
-    assert cold["git_sha"] == warm["git_sha"] == "f" * 40
+    assert observed["git_sha"] == cold["git_sha"] == warm["git_sha"] == "f" * 40
     assert cold["wall_seconds"] == 4.0 and warm["wall_seconds"] == 0.01
 
 

@@ -15,10 +15,13 @@ would drift in silently.  This tool closes the loop:
     (``benchmarks/results/BENCH_trajectory.jsonl``).  It then runs the
     per-model quick points (VC8, WH8, and FR6 on a 16x16 mesh), writes
     them to ``benchmarks/results/BENCH_models.json``, and appends one
-    trajectory line per model (tagged with a ``model`` field).  Last it
-    times the end-to-end number a user waits on -- one quick load sweep
-    cold into a fresh run ledger, then replayed warm from it -- and appends
-    one line for each (tagged ``sweep``; recorded, not gated).  All files
+    trajectory line per model (tagged with a ``model`` field).  Then it
+    times what observing costs -- the primary workload again, plain and
+    with latency attribution attached, one line tagged ``observed`` with
+    both wall times and their ratio -- and last the end-to-end number a
+    user waits on -- one quick load sweep cold into a fresh run ledger,
+    then replayed warm from it, one line each tagged ``sweep``.  The
+    ``observed`` and ``sweep`` lines are recorded, not gated.  All files
     are committed, so the trajectory accumulates one point per re-record
     across the repo's history.
 
@@ -122,8 +125,11 @@ def _record_bench(ledger: Any, label: str, report: dict[str, Any]) -> None:
     )
 
 
-def run_benchmark(workload: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Run one workload with only the profiler attached; returns its report."""
+def run_benchmark(
+    workload: dict[str, Any] | None = None, attribution: bool = False
+) -> dict[str, Any]:
+    """Run one workload with only the profiler attached (and, on request,
+    a latency attributor on the event bus); returns the profiler's report."""
     from repro import Mesh2D, run_experiment
     from repro.obs.session import ObsSession
 
@@ -131,7 +137,12 @@ def run_benchmark(workload: dict[str, Any] | None = None) -> dict[str, Any]:
         workload = WORKLOAD
     mesh_dims = workload.get("mesh")
     mesh = Mesh2D(*mesh_dims) if mesh_dims else None
-    session = ObsSession(profile=True, manifest_out="", bench_out="")
+    session = ObsSession(
+        profile=True,
+        attribution_out="" if attribution else None,
+        manifest_out="",
+        bench_out="",
+    )
     result = run_experiment(
         _resolve_config(str(workload["config"])),
         workload["offered_load"],
@@ -145,6 +156,18 @@ def run_benchmark(workload: dict[str, Any] | None = None) -> dict[str, Any]:
     report["workload"] = dict(workload)
     report["packets_measured"] = result.packets_measured
     return report
+
+
+def run_observed() -> dict[str, Any]:
+    """Wall time of ``WORKLOAD`` plain and attributed, back to back."""
+    plain = run_benchmark()
+    attributed = run_benchmark(attribution=True)
+    return {
+        "cycles": attributed["cycles"],
+        "plain_wall_seconds": plain["wall_seconds"],
+        "attributed_wall_seconds": attributed["wall_seconds"],
+        "ratio": round(attributed["wall_seconds"] / plain["wall_seconds"], 4),
+    }
 
 
 def run_sweeps() -> dict[str, Any]:
@@ -236,6 +259,11 @@ def record(args: argparse.Namespace) -> int:
     with open(args.models_baseline, "w", encoding="utf-8") as handle:
         json.dump(models_baseline, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+    observed = run_observed()
+    entries.append({"git_sha": sha, "observed": "attribution", **observed})
+    print(f"  {'observed':>10}: {observed['attributed_wall_seconds']:>10.3f} s attributed / "
+          f"{observed['plain_wall_seconds']:.3f} s plain = {observed['ratio']:.3f}")
 
     for phase, timing in run_sweeps()["phases"].items():
         entries.append({"git_sha": sha, "sweep": phase, **timing})
