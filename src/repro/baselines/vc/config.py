@@ -37,6 +37,12 @@ class VCConfig:
             raise ValueError(f"unknown buffer_sharing {self.buffer_sharing!r}")
         if self.vc_reallocation not in ("when_empty", "when_tail_sent"):
             raise ValueError(f"unknown vc_reallocation {self.vc_reallocation!r}")
+        if self.data_link_delay < 1:
+            raise ValueError(f"data_link_delay must be >= 1 cycle, got {self.data_link_delay}")
+        if self.credit_link_delay < 1:
+            raise ValueError(
+                f"credit_link_delay must be >= 1 cycle, got {self.credit_link_delay}"
+            )
 
     @property
     def buffers_per_input(self) -> int:

@@ -19,20 +19,16 @@ HEAD_TAIL = 3
 class VCFlit:
     """One flit of a packet in a buffered flow-control network."""
 
-    __slots__ = ("packet", "kind", "index")
+    __slots__ = ("packet", "kind", "index", "is_head", "is_tail")
 
     def __init__(self, packet: Packet, kind: int, index: int) -> None:
         self.packet = packet
         self.kind = kind
         self.index = index
-
-    @property
-    def is_head(self) -> bool:
-        return self.kind in (HEAD, HEAD_TAIL)
-
-    @property
-    def is_tail(self) -> bool:
-        return self.kind in (TAIL, HEAD_TAIL)
+        # Stored, not derived per read: the router tests them on every hop,
+        # and a flit's kind never changes after construction.
+        self.is_head = kind == HEAD or kind == HEAD_TAIL
+        self.is_tail = kind == TAIL or kind == HEAD_TAIL
 
     @property
     def destination(self) -> int:

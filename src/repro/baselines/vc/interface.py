@@ -33,6 +33,10 @@ class VCNodeInterface:
         "_credits",
         "_shared_credits",
         "_owned",
+        "_num_vcs",
+        "_bufs_per_vc",
+        "_pool_mode",
+        "_when_empty",
     )
 
     def __init__(self, router: VCRouter, config: VCConfig, rng: DeterministicRng) -> None:
@@ -45,6 +49,11 @@ class VCNodeInterface:
         self._credits = [config.buffers_per_vc] * config.num_vcs
         self._shared_credits = config.buffers_per_input - config.num_vcs
         self._owned = [False] * config.num_vcs
+        # Hot-path copies of the (frozen) config, as in VCRouter.
+        self._num_vcs = config.num_vcs
+        self._bufs_per_vc = config.buffers_per_vc
+        self._pool_mode = config.buffer_sharing == "pool"
+        self._when_empty = config.vc_reallocation == "when_empty"
         router.ni_credit = self._credit_return
 
     def enqueue(self, packet: Packet) -> None:
@@ -71,16 +80,17 @@ class VCNodeInterface:
             if not pending:
                 return True  # no free injection VC; retry next cycle
         vc = self._inject_vc
-        if self.config.buffer_sharing == "pool":
-            outstanding = self.config.buffers_per_vc - self._credits[vc]
-            if outstanding >= 1 and self._shared_credits <= 0:
-                return True
-            if outstanding >= 1:
+        credits = self._credits
+        if self._pool_mode:
+            if credits[vc] < self._bufs_per_vc:
+                # The VC's dedicated slot is taken; this flit needs a shared one.
+                if self._shared_credits <= 0:
+                    return True
                 self._shared_credits -= 1
-        elif self._credits[vc] <= 0:
+        elif credits[vc] <= 0:
             return True
         flit = pending.popleft()
-        self._credits[vc] -= 1
+        credits[vc] -= 1
         self.router.accept_flit(INJECT, vc, flit, cycle)
         if not pending:
             self._owned[vc] = False
@@ -88,24 +98,26 @@ class VCNodeInterface:
         return bool(pending or self.packet_queue)
 
     def _start_next_packet(self) -> None:
-        free = [vc for vc in range(self.config.num_vcs) if self._allocatable(vc)]
+        owned = self._owned
+        credits = self._credits
+        when_empty = self._when_empty
+        bufs_per_vc = self._bufs_per_vc
+        # 'when_empty' also waits until the router's input VC has drained.
+        free = [
+            vc
+            for vc in range(self._num_vcs)
+            if not owned[vc] and (not when_empty or credits[vc] == bufs_per_vc)
+        ]
         if not free:
             return
         vc = self.rng.choice(free)
         packet = self.packet_queue.popleft()
         self._pending.extend(packet_to_flits(packet))
         self._inject_vc = vc
-        self._owned[vc] = True
-
-    def _allocatable(self, vc: int) -> bool:
-        if self._owned[vc]:
-            return False
-        if self.config.vc_reallocation == "when_empty":
-            return self._credits[vc] == self.config.buffers_per_vc
-        return True
+        owned[vc] = True
 
     def _credit_return(self, vc: int) -> None:
-        outstanding = self.config.buffers_per_vc - self._credits[vc]
+        outstanding = self._bufs_per_vc - self._credits[vc]
         self._credits[vc] += 1
-        if self.config.buffer_sharing == "pool" and outstanding >= 2:
+        if self._pool_mode and outstanding >= 2:
             self._shared_credits += 1

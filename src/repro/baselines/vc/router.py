@@ -50,11 +50,20 @@ class VCRouter:
         "out_vc_owned",
         "connected_outputs",
         "ni_credit",
+        "_num_vcs",
+        "_bufs_per_vc",
+        "_bufs_per_input",
+        "_pool_mode",
+        "_when_empty",
+        "_credit_scan",
+        "_data_in_scan",
+        "_input_scan",
         "accept_flit",
         "_forward",
         "_on_flit_arrival",
         "_on_flit_forward",
         "_buffered_total",
+        "_unrouted",
         "_flags",
         "_wake",
         "flits_forwarded",
@@ -94,6 +103,25 @@ class VCRouter:
         self.out_shared_credits = [config.buffers_per_input - v] * NUM_PORTS
         self.out_vc_owned = [[False] * v for _ in range(NUM_PORTS)]
         self.connected_outputs: list[int] = []
+        # Hot-path copies of the (frozen) config, so no phase walks a
+        # ``self.config.<field>`` chain or compares strings per cycle.
+        self._num_vcs = v
+        self._bufs_per_vc = config.buffers_per_vc
+        self._bufs_per_input = config.buffers_per_input
+        self._pool_mode = config.buffer_sharing == "pool"
+        self._when_empty = config.vc_reallocation == "when_empty"
+        # Port-sorted scan tuples, built once at wiring time so the phases
+        # never re-index the parallel port arrays: (port, credit link,
+        # out_credits[port]) per output and (port, data link) per input.
+        self._credit_scan: list[tuple] = []
+        self._data_in_scan: list[tuple] = []
+        # One (port, queues, active, route, out_vc) row per input: the
+        # per-port lists above are never rebound, only mutated in place.
+        self._input_scan = tuple(
+            (port, self.in_queues[port], self.in_active[port], self.in_route[port],
+             self.in_out_vc[port])
+            for port in range(NUM_PORTS)
+        )
         # Set by the network: called with (vc,) when a local-input flit leaves.
         self.ni_credit: Optional[Callable[[int], None]] = None
         # Observability hooks (pure observers; arbitration never consults
@@ -108,6 +136,10 @@ class VCRouter:
         # Activity tracking: total buffered flits across all inputs, plus the
         # wake slot the network rebinds to its worklist (bind_activity).
         self._buffered_total = 0
+        # Idle input VCs holding flits (a head awaiting route + VC
+        # allocation, so every one is buffered): route_and_allocate scans
+        # only while one exists.
+        self._unrouted = 0
         self._flags = bytearray(1)
         self._wake = 0
         # Diagnostics.
@@ -149,6 +181,8 @@ class VCRouter:
         self.out_data_links[port] = data_link
         self.in_credit_links[port] = credit_link
         self.connected_outputs.append(port)
+        self._credit_scan.append((port, credit_link, self.out_credits[port]))
+        self._credit_scan.sort(key=lambda entry: entry[0])
 
     def connect_input(
         self, port: int, data_link: Link[tuple[int, VCFlit]], credit_link: Link[int]
@@ -156,22 +190,25 @@ class VCRouter:
         """Attach the incoming data link and outgoing credit link of ``port``."""
         self.in_data_links[port] = data_link
         self.out_credit_links[port] = credit_link
+        self._data_in_scan.append((port, data_link))
+        self._data_in_scan.sort(key=lambda entry: entry[0])
 
     # -- per-cycle phases -----------------------------------------------------
 
     def deliver_credits(self, cycle: int) -> None:
         """Absorb credits returned by downstream routers."""
-        buffers_per_vc = self.config.buffers_per_vc
-        for port in self.connected_outputs:
-            link = self.in_credit_links[port]
-            credits = self.out_credits[port]
-            for vc in link.receive(cycle):
-                outstanding = buffers_per_vc - credits[vc]
-                credits[vc] += 1
-                if outstanding >= 2:
-                    # The freed slot was a shared one; the VC's dedicated
-                    # slot is released last.
-                    self.out_shared_credits[port] += 1
+        bufs_per_vc = self._bufs_per_vc
+        for port, link, credits in self._credit_scan:
+            # Earliest-event skip: an empty wire, or one whose first item
+            # lands later, is never polled.
+            if link.pending and cycle >= link.next_arrival:
+                for vc in link.receive(cycle):
+                    outstanding = bufs_per_vc - credits[vc]
+                    credits[vc] += 1
+                    if outstanding >= 2:
+                        # The freed slot was a shared one; the VC's dedicated
+                        # slot is released last.
+                        self.out_shared_credits[port] += 1
 
     def switch_traversal(self, cycle: int) -> None:
         """Random switch arbitration and flit forwarding.
@@ -198,29 +235,34 @@ class VCRouter:
             self._forward(port, vc, out_port, cycle)
 
     def _gather_candidates(self) -> list[tuple[int, int, int]]:
-        pool_mode = self.config.buffer_sharing == "pool"
-        num_vcs = self.config.num_vcs
+        pool_mode = self._pool_mode
+        bufs_per_vc = self._bufs_per_vc
+        vcs = range(self._num_vcs)
+        occupancy = self.pool_occupancy
+        out_credits = self.out_credits
         candidates: list[tuple[int, int, int]] = []
-        for port in range(NUM_PORTS):
-            queues = self.in_queues[port]
-            active = self.in_active[port]
-            route = self.in_route[port]
-            for vc in range(num_vcs):
+        for port, queues, active, route, out_vcs in self._input_scan:
+            if not occupancy[port]:
+                continue
+            for vc in vcs:
                 if not queues[vc] or not active[vc]:
                     continue
                 out_port = route[vc]
                 if out_port != EJECT:
-                    out_vc = self.in_out_vc[port][vc]
+                    credit = out_credits[out_port][out_vcs[vc]]
                     if pool_mode:
-                        if not self._pool_send_allowed(out_port, out_vc):
+                        # Shared-pool gate: the VC's dedicated slot (nothing
+                        # outstanding) or a shared slot must be free.
+                        if credit != bufs_per_vc and self.out_shared_credits[out_port] <= 0:
                             continue
-                    elif self.out_credits[out_port][out_vc] <= 0:
+                    elif credit <= 0:
                         continue
                 candidates.append((port, vc, out_port))
         return candidates
 
     def _forward_plain(self, port: int, vc: int, out_port: int, cycle: int) -> None:
-        flit = self.in_queues[port][vc].popleft()
+        queue = self.in_queues[port][vc]
+        flit = queue.popleft()
         self.pool_occupancy[port] -= 1
         self._buffered_total -= 1
         self.flits_forwarded += 1
@@ -229,10 +271,11 @@ class VCRouter:
         else:
             out_vc = self.in_out_vc[port][vc]
             self.out_data_links[out_port].send((out_vc, flit), cycle)
-            if self.config.buffers_per_vc - self.out_credits[out_port][out_vc] >= 1:
+            credits = self.out_credits[out_port]
+            if credits[out_vc] < self._bufs_per_vc:
                 # The VC's dedicated slot is taken; this flit uses a shared one.
                 self.out_shared_credits[out_port] -= 1
-            self.out_credits[out_port][out_vc] -= 1
+            credits[out_vc] -= 1
             if flit.is_tail:
                 self.out_vc_owned[out_port][out_vc] = False
         # Return the freed buffer to whoever feeds this input.
@@ -244,11 +287,14 @@ class VCRouter:
             self.in_active[port][vc] = False
             self.in_route[port][vc] = -1
             self.in_out_vc[port][vc] = -1
+            if queue:  # the next packet's head is already waiting behind it
+                self._unrouted += 1
 
     def _forward_observed(self, port: int, vc: int, out_port: int, cycle: int) -> None:
         # Lockstep twin of _forward_plain; the hook fires after the dequeue
         # but before the flit moves, exactly where it always did.
-        flit = self.in_queues[port][vc].popleft()
+        queue = self.in_queues[port][vc]
+        flit = queue.popleft()
         self.pool_occupancy[port] -= 1
         self._buffered_total -= 1
         self.flits_forwarded += 1
@@ -258,9 +304,10 @@ class VCRouter:
         else:
             out_vc = self.in_out_vc[port][vc]
             self.out_data_links[out_port].send((out_vc, flit), cycle)
-            if self.config.buffers_per_vc - self.out_credits[out_port][out_vc] >= 1:
+            credits = self.out_credits[out_port]
+            if credits[out_vc] < self._bufs_per_vc:
                 self.out_shared_credits[out_port] -= 1
-            self.out_credits[out_port][out_vc] -= 1
+            credits[out_vc] -= 1
             if flit.is_tail:
                 self.out_vc_owned[out_port][out_vc] = False
         if port == INJECT:
@@ -271,15 +318,15 @@ class VCRouter:
             self.in_active[port][vc] = False
             self.in_route[port][vc] = -1
             self.in_out_vc[port][vc] = -1
+            if queue:  # the next packet's head is already waiting behind it
+                self._unrouted += 1
 
     def deliver_flits(self, cycle: int) -> None:
         """Move arriving flits from input links into their VC queues."""
-        for port in range(4):  # mesh ports only; local input is fed by the NI
-            link = self.in_data_links[port]
-            if link is None:
-                continue
-            for out_vc, flit in link.receive(cycle):
-                self.accept_flit(port, out_vc, flit, cycle)
+        for port, link in self._data_in_scan:
+            if link.pending and cycle >= link.next_arrival:
+                for out_vc, flit in link.receive(cycle):
+                    self.accept_flit(port, out_vc, flit, cycle)
 
     def _accept_flit_plain(self, port: int, vc: int, flit: VCFlit, cycle: int = -1) -> None:
         """Insert one flit into an input VC queue, checking buffer bounds.
@@ -288,17 +335,19 @@ class VCRouter:
         outside the clocked phases, e.g. test setup).
         """
         queue = self.in_queues[port][vc]
-        if self.config.buffer_sharing == "private":
-            if len(queue) >= self.config.buffers_per_vc:
+        if not self._pool_mode:
+            if len(queue) >= self._bufs_per_vc:
                 raise RuntimeError(
                     f"VC buffer overflow at node {self.node} port {port} vc {vc}: "
                     "credit protocol violated"
                 )
-        elif self.pool_occupancy[port] >= self.config.buffers_per_input:
+        elif self.pool_occupancy[port] >= self._bufs_per_input:
             raise RuntimeError(
                 f"buffer pool overflow at node {self.node} port {port}: "
                 "credit protocol violated"
             )
+        if not queue and not self.in_active[port][vc]:
+            self._unrouted += 1
         queue.append(flit)
         self.pool_occupancy[port] += 1
         self._buffered_total += 1
@@ -315,13 +364,14 @@ class VCRouter:
         predicate for the network worklist: buffered flits or anything in
         flight toward this router (data or credits) keeps it stepped.
         """
-        if self._buffered_total:
+        if self._unrouted:
             requests: dict[int, list[tuple[int, int]]] = {}
-            num_vcs = self.config.num_vcs
-            for port in range(NUM_PORTS):
-                queues = self.in_queues[port]
-                active = self.in_active[port]
-                for vc in range(num_vcs):
+            vcs = range(self._num_vcs)
+            occupancy = self.pool_occupancy
+            for port, queues, active, route, _out_vcs in self._input_scan:
+                if not occupancy[port]:
+                    continue
+                for vc in vcs:
                     if active[vc] or not queues[vc]:
                         continue
                     head = queues[vc][0]
@@ -330,10 +380,11 @@ class VCRouter:
                             f"non-head flit {head!r} at the front of an idle VC at "
                             f"node {self.node}: packet framing corrupted"
                         )
-                    out_port = self.routing.output_port(self.node, head.destination)
+                    out_port = self.routing.output_port(self.node, head.packet.destination)
                     if out_port == EJECT:
-                        self.in_route[port][vc] = EJECT
-                        self.in_active[port][vc] = True
+                        route[vc] = EJECT
+                        active[vc] = True
+                        self._unrouted -= 1
                     else:
                         bucket = requests.get(out_port)
                         if bucket is None:
@@ -343,20 +394,26 @@ class VCRouter:
             for out_port, requesters in requests.items():
                 self._allocate_vcs(out_port, requesters)
             return True
-        in_data = self.in_data_links
-        for port in range(4):
-            link = in_data[port]
-            if link is not None and link.in_flight():
+        if self._buffered_total:
+            return True
+        for _port, link in self._data_in_scan:
+            if link.pending:
                 return True
-        in_credit = self.in_credit_links
-        for port in self.connected_outputs:
-            if in_credit[port].in_flight():
+        for _port, credit_link, _credits in self._credit_scan:
+            if credit_link.pending:
                 return True
         return False
 
     def _allocate_vcs(self, out_port: int, requesters: list[tuple[int, int]]) -> None:
+        owned = self.out_vc_owned[out_port]
+        credits = self.out_credits[out_port]
+        when_empty = self._when_empty
+        bufs_per_vc = self._bufs_per_vc
+        # 'when_empty' also waits until the downstream VC has drained.
         free_vcs = [
-            vc for vc in range(self.config.num_vcs) if self._vc_allocatable(out_port, vc)
+            vc
+            for vc in range(self._num_vcs)
+            if not owned[vc] and (not when_empty or credits[vc] == bufs_per_vc)
         ]
         if not free_vcs:
             return
@@ -367,19 +424,8 @@ class VCRouter:
             self.in_route[port][vc] = out_port
             self.in_out_vc[port][vc] = out_vc
             self.in_active[port][vc] = True
-            self.out_vc_owned[out_port][out_vc] = True
-
-    def _pool_send_allowed(self, out_port: int, vc: int) -> bool:
-        """Shared-pool gate: the VC's dedicated slot or a shared slot free."""
-        outstanding = self.config.buffers_per_vc - self.out_credits[out_port][vc]
-        return outstanding == 0 or self.out_shared_credits[out_port] > 0
-
-    def _vc_allocatable(self, out_port: int, vc: int) -> bool:
-        if self.out_vc_owned[out_port][vc]:
-            return False
-        if self.config.vc_reallocation == "when_empty":
-            return self.out_credits[out_port][vc] == self.config.buffers_per_vc
-        return True
+            owned[out_vc] = True
+            self._unrouted -= 1
 
     # -- introspection --------------------------------------------------------
 

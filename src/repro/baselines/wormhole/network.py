@@ -25,6 +25,15 @@ class WormholeConfig:
     credit_link_delay: int = 1
     channel_release: str = "when_tail_sent"
 
+    def __post_init__(self) -> None:
+        # Fail here, naming the wormhole field, rather than later inside
+        # build_network with a message about a VC field nobody set.
+        if self.buffers_per_input < 1:
+            raise ValueError(f"buffers_per_input must be >= 1, got {self.buffers_per_input}")
+        if self.channel_release not in ("when_empty", "when_tail_sent"):
+            raise ValueError(f"unknown channel_release {self.channel_release!r}")
+        self.as_vc_config()  # the link delays carry the same names there
+
     @property
     def name(self) -> str:
         return f"WH{self.buffers_per_input}"

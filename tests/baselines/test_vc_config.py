@@ -43,3 +43,9 @@ class TestValidation:
     def test_rejects_unknown_reallocation(self):
         with pytest.raises(ValueError):
             VCConfig(vc_reallocation="never")
+
+    @pytest.mark.parametrize("field", ["data_link_delay", "credit_link_delay"])
+    def test_rejects_zero_link_delay_naming_the_field(self, field):
+        """Not later, inside build_network, as a bare 'link delay must be >= 1'."""
+        with pytest.raises(ValueError, match=field):
+            VCConfig(**{field: 0})

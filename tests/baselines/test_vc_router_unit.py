@@ -8,7 +8,7 @@ that flit-reservation flow control eliminates.
 import pytest
 
 from repro.baselines.vc.config import VCConfig
-from repro.baselines.vc.flits import packet_to_flits
+from repro.baselines.vc.flits import BODY, HEAD, HEAD_TAIL, TAIL, packet_to_flits
 from repro.baselines.vc.router import VCRouter
 from repro.sim.link import Link
 from repro.sim.rng import DeterministicRng
@@ -59,6 +59,35 @@ class Rig:
         for flit in packet_to_flits(packet):
             self.left.accept_flit(INJECT, vc, flit)
         return packet
+
+
+class TestFlitFraming:
+    @pytest.mark.parametrize(
+        "length,kinds",
+        [
+            (1, [HEAD_TAIL]),
+            (2, [HEAD, TAIL]),
+            (5, [HEAD, BODY, BODY, BODY, TAIL]),
+        ],
+    )
+    def test_head_and_tail_flags_follow_the_kind(self, length, kinds):
+        packet = Packet(7, source=0, destination=1, length=length, creation_cycle=0)
+        flits = packet_to_flits(packet)
+        assert [flit.kind for flit in flits] == kinds
+        assert [flit.index for flit in flits] == list(range(length))
+        assert [flit.is_head for flit in flits] == [True] + [False] * (length - 1)
+        assert [flit.is_tail for flit in flits] == [False] * (length - 1) + [True]
+        assert all(flit.destination == 1 for flit in flits)
+
+    def test_repr_names_the_kind(self):
+        packet = Packet(7, source=0, destination=1, length=3, creation_cycle=0)
+        assert [repr(flit) for flit in packet_to_flits(packet)] == [
+            "VCFlit(pkt=7, head, #0)",
+            "VCFlit(pkt=7, body, #1)",
+            "VCFlit(pkt=7, tail, #2)",
+        ]
+        single = Packet(8, source=0, destination=1, length=1, creation_cycle=0)
+        assert repr(packet_to_flits(single)[0]) == "VCFlit(pkt=8, head+tail, #0)"
 
 
 class TestPipelineTiming:

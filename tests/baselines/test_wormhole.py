@@ -22,6 +22,20 @@ class TestConfig:
         config = WormholeConfig(data_link_delay=2, credit_link_delay=1)
         assert config.as_vc_config().data_link_delay == 2
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("buffers_per_input", 0),
+            ("channel_release", "never"),
+            ("data_link_delay", 0),
+            ("credit_link_delay", 0),
+        ],
+    )
+    def test_bad_value_fails_at_construction_naming_its_own_field(self, field, value):
+        """Not later, inside build_network, with a message about a VC field."""
+        with pytest.raises(ValueError, match=field):
+            WormholeConfig(**{field: value})
+
 
 class TestBehaviour:
     def test_delivers_packets(self, mesh4):
