@@ -13,7 +13,7 @@ Run:  python examples/trace_a_packet.py [--load 0.4] [--packet 5]
 import argparse
 
 from repro import FR6, Simulator, build_network
-from repro.sim.tracelog import TraceLog
+from repro.obs.trace import TraceLog
 from repro.stats.utilization import measure_channel_utilization
 
 

@@ -924,11 +924,6 @@ class FRRouter:
             total += scheduler.occupancy
         return total
 
-    def reservation_busy(self, port: int) -> int:
-        """Reserved slots in one output port's reservation table (0 if unwired)."""
-        table = self.out_tables[port]
-        return table.busy_slots() if table is not None else 0
-
     def reservation_busy_total(self) -> int:
         """Reserved slots summed over every output reservation table."""
         total = 0

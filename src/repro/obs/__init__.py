@@ -13,7 +13,7 @@ The layer has five parts:
   wires one bus into a flit-reservation, virtual-channel, or wormhole
   network through the routers' observability hooks (attach/detach);
 * :mod:`repro.obs.metrics` -- the :class:`~repro.obs.metrics.MetricsRegistry`
-  of counters, gauges, and per-cycle histograms with the built-in
+  of gauges and a sampled timeseries with the built-in
   channel-utilization / occupancy / stall / backpressure instruments;
 * :mod:`repro.obs.attribution` (+ :mod:`repro.obs.report`) -- the
   :class:`~repro.obs.attribution.LatencyAttributor` that reconstructs each
@@ -22,8 +22,7 @@ The layer has five parts:
   tables, JSON artifact, and Perfetto waterfall built on top;
 * :mod:`repro.obs.spatial` (+ :mod:`repro.obs.heatmap`) -- the
   :class:`~repro.obs.spatial.SpatialMetricsRegistry` of per-router /
-  per-link / per-reservation-table instruments, the read-only
-  :class:`~repro.obs.spatial.CongestionSignal` API, and the
+  per-link / per-reservation-table instruments and the
   ``frfc-heatmap/1`` exporter with ASCII/SVG mesh renderers and the
   hotspot detector behind ``frfc heatmap``;
 * :mod:`repro.obs.exporters` (+ :mod:`repro.obs.manifest`,
@@ -57,7 +56,7 @@ from repro.obs.ledger import (
     describe_record,
     format_run_diff,
 )
-from repro.obs.metrics import Counter, Gauge, CycleHistogram, MetricsRegistry
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.probe import NetworkProbe
 from repro.obs.profile import SimProfiler
 from repro.obs.progress import PROGRESS_SCHEMA, ProgressReporter
@@ -81,12 +80,7 @@ from repro.obs.heatmap import (
     write_heatmap_json,
 )
 from repro.obs.session import ObsSession
-from repro.obs.spatial import (
-    CongestionSignal,
-    SpatialMetricsRegistry,
-    SpatialSample,
-    write_spatial_csv,
-)
+from repro.obs.spatial import SpatialMetricsRegistry, SpatialSample, write_spatial_csv
 from repro.obs.trace import TraceEvent, TraceLog
 
 __all__ = [
@@ -94,9 +88,6 @@ __all__ = [
     "AttributionSummary",
     "COMPONENTS",
     "ComponentStats",
-    "CongestionSignal",
-    "Counter",
-    "CycleHistogram",
     "DEFAULT_STORE",
     "EVENT_KINDS",
     "EventBus",

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, per-cycle histograms, timeseries.
+"""The metrics registry: gauges and a sampled timeseries.
 
 A :class:`MetricsRegistry` is a :class:`~repro.sim.kernel.CycleHook`: handed
 to the simulator as an observer, it samples its instruments every
@@ -27,7 +27,7 @@ live in :mod:`repro.obs.spatial`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
@@ -36,19 +36,6 @@ if TYPE_CHECKING:
 
 #: A sampler reads the network and returns one timeseries cell.
 Sampler = Callable[["NetworkModel", int], float]
-
-
-@dataclass
-class Counter:
-    """A monotonically increasing count (events, stalls, drops)."""
-
-    name: str
-    value: int = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (got {amount})")
-        self.value += amount
 
 
 @dataclass
@@ -72,35 +59,6 @@ class Gauge:
         return self.total / self.samples
 
 
-@dataclass
-class CycleHistogram:
-    """Fixed-width-bin histogram of a per-cycle quantity."""
-
-    name: str
-    bin_width: int = 1
-    counts: dict[int, int] = field(default_factory=dict)
-    samples: int = 0
-    total: float = 0.0
-
-    def record(self, value: float) -> None:
-        if self.bin_width < 1:
-            raise ValueError(f"bin width must be >= 1, got {self.bin_width}")
-        bin_start = int(value) // self.bin_width * self.bin_width
-        self.counts[bin_start] = self.counts.get(bin_start, 0) + 1
-        self.samples += 1
-        self.total += value
-
-    def bins(self) -> list[tuple[int, int]]:
-        """(bin_start, count) pairs in ascending bin order."""
-        return sorted(self.counts.items())
-
-    @property
-    def mean(self) -> float:
-        if self.samples == 0:
-            raise ValueError(f"histogram {self.name} has no samples")
-        return self.total / self.samples
-
-
 class MetricsRegistry:
     """Named instruments plus a sampled timeseries; a simulator observer.
 
@@ -113,39 +71,28 @@ class MetricsRegistry:
         if sample_every < 1:
             raise ValueError(f"sampling cadence must be >= 1, got {sample_every}")
         self.sample_every = sample_every
-        self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
-        self.histograms: dict[str, CycleHistogram] = {}
         self.timeseries: list[dict[str, float]] = []
         self._samplers: list[tuple[str, Sampler]] = []
         self._last_sample_cycle: int | None = None
 
     # -- instrument management ----------------------------------------------
 
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter called ``name``."""
-        return self.counters.setdefault(name, Counter(name))
-
     def gauge(self, name: str) -> Gauge:
         """Get or create the gauge called ``name``."""
         return self.gauges.setdefault(name, Gauge(name))
-
-    def histogram(self, name: str, bin_width: int = 1) -> CycleHistogram:
-        """Get or create the histogram called ``name``."""
-        return self.histograms.setdefault(name, CycleHistogram(name, bin_width))
 
     def add_sampler(self, column: str, sampler: Sampler) -> None:
         """Register a per-sample timeseries column.
 
         ``sampler(network, cycle)`` runs on every sampling tick; its return
-        value lands in the ``column`` of that tick's timeseries row, in the
-        gauge of the same name, and in a histogram of the same name.
+        value lands in the ``column`` of that tick's timeseries row and in
+        the gauge of the same name.
         """
         if any(existing == column for existing, _ in self._samplers):
             raise ValueError(f"duplicate timeseries column {column!r}")
         self._samplers.append((column, sampler))
         self.gauge(column)
-        self.histogram(column)
 
     # -- built-in instruments ------------------------------------------------
 
@@ -194,7 +141,6 @@ class MetricsRegistry:
             value = sampler(network, cycle)  # type: ignore[arg-type]
             row[column] = value
             self.gauges[column].set(value)
-            self.histograms[column].record(value)
         self.timeseries.append(row)
 
     # -- reporting -----------------------------------------------------------
@@ -205,8 +151,6 @@ class MetricsRegistry:
             "sample_every": self.sample_every,
             "rows": len(self.timeseries),
         }
-        if self.counters:
-            report["counters"] = {name: c.value for name, c in sorted(self.counters.items())}
         gauges = {
             name: {"last": g.value, "mean": g.mean}
             for name, g in sorted(self.gauges.items())

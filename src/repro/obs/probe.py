@@ -34,14 +34,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.baselines.vc.network import VCNetwork
+from repro.core.network import FRNetwork
 from repro.obs import events as ev
 from repro.obs.events import EventBus, Publisher
 
 if TYPE_CHECKING:
     from repro.baselines.vc.flits import VCFlit
-    from repro.baselines.vc.network import VCNetwork
     from repro.core.flits import ControlFlit, DataFlit
-    from repro.core.network import FRNetwork
     from repro.sim.netbase import NetworkModel
     from repro.traffic.packet import Packet
 
@@ -58,12 +58,6 @@ class NetworkProbe:
 
     def attach(self, network: "NetworkModel") -> "NetworkProbe":
         """Install bus-publishing hooks on ``network`` (chainable)."""
-        # Imported here, not at module scope: repro.sim re-exports the
-        # bus-backed TraceLog, so a module-level import of the network
-        # classes would be circular.
-        from repro.baselines.vc.network import VCNetwork
-        from repro.core.network import FRNetwork
-
         if self._network is not None:
             raise RuntimeError("probe already attached; detach first")
         if isinstance(network, FRNetwork):

@@ -9,9 +9,8 @@ reservation-table busy slots, credit stalls, injection backpressure) and
 per directed data link (busy fraction over the sampling window) -- into an
 in-memory windowed timeseries.  The paper's own evaluation is spatial
 (Section 4.2 tracks one node's buffer pool; Figure 7's saturation is driven
-by center-of-mesh contention under dimension-ordered routing), and the
-ROADMAP's adaptive-routing item needs a per-node congestion readout; this
-is that readout.
+by center-of-mesh contention under dimension-ordered routing); this is the
+per-node congestion readout behind ``frfc heatmap``.
 
 Contracts, shared with the rest of the observability layer:
 
@@ -29,11 +28,6 @@ Contracts, shared with the rest of the observability layer:
   (link utilization, credit stalls) are normalised over exactly that
   window, *level* metrics (occupancies) are the instantaneous value at the
   window's closing edge.
-
-The read-only :class:`CongestionSignal` at the bottom is the API the
-future adaptive-routing work consumes: per-router, per-dimension occupancy
-over reservation tables (FR) or input buffer pools (VC/wormhole), with no
-new plumbing between the router models and the routing function.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ import io
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.topology.mesh import EAST, NORTH, PORT_NAMES, SOUTH, WEST
+from repro.topology.mesh import PORT_NAMES
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -56,10 +50,6 @@ if TYPE_CHECKING:
 #: closing edge; a *rate* is an amount normalised over the half-open window.
 LEVEL = "level"
 RATE = "rate"
-
-#: Mesh dimensions for :meth:`CongestionSignal.occupancy`: dimension 0 is
-#: the x axis (east/west ports), dimension 1 the y axis (north/south).
-DIMENSION_PORTS: tuple[tuple[int, ...], ...] = ((EAST, WEST), (NORTH, SOUTH))
 
 #: A node sampler returns one value per mesh node (row-major node order).
 NodeSampler = Callable[["NetworkModel", int], list[float]]
@@ -296,63 +286,3 @@ def _node_reservation_occupancy(network: "NetworkModel", cycle: int) -> list[flo
 
 def _node_injection_backpressure(network: "NetworkModel", cycle: int) -> list[float]:
     return [float(network.source_queue_length(node)) for node in network.mesh.nodes()]
-
-
-# ---------------------------------------------------------------------------
-# The congestion-signal API (consumed by future adaptive routing)
-# ---------------------------------------------------------------------------
-
-
-class CongestionSignal:
-    """Read-only per-router, per-dimension congestion readout.
-
-    The contract the adaptive-routing work consumes: ``occupancy(router,
-    dim)`` returns the current congestion pressure of one router in one
-    mesh dimension (0 = x/east-west, 1 = y/north-south), or summed over
-    every port when ``dim`` is ``None``.  The quantity is
-
-    * **flit-reservation** -- reserved slots in the output reservation
-      tables of the dimension's ports (the reservation-table occupancy the
-      ROADMAP names as the congestion signal), and
-    * **VC / wormhole** -- occupied input data buffers on the dimension's
-      ports (the only per-port congestion state those routers have).
-
-    Values are recomputable from raw router state (property-tested across
-    all three models); reading one never perturbs the run.
-    """
-
-    def __init__(self, network: "NetworkModel") -> None:
-        routers: list[Any] = getattr(network, "routers", [])
-        if not routers:
-            raise TypeError(
-                f"cannot read congestion from a {type(network).__name__}: no routers"
-            )
-        self.network = network
-        self._routers = routers
-        self._reservation_based = hasattr(routers[0], "out_tables")
-
-    @property
-    def reservation_based(self) -> bool:
-        """True when the signal reads reservation tables (FR), else buffers."""
-        return self._reservation_based
-
-    def occupancy(self, router: int, dim: int | None = None) -> int:
-        """Congestion pressure of ``router`` in mesh dimension ``dim``.
-
-        ``dim`` 0 reads the east/west ports, 1 the north/south ports,
-        ``None`` every port (mesh and local alike).
-        """
-        target = self._routers[router]
-        if dim is None:
-            if self._reservation_based:
-                return int(target.reservation_busy_total())
-            return int(target.buffered_total())
-        if not 0 <= dim < len(DIMENSION_PORTS):
-            raise ValueError(f"mesh dimension must be 0 (x) or 1 (y), got {dim}")
-        total = 0
-        for port in DIMENSION_PORTS[dim]:
-            if self._reservation_based:
-                total += target.reservation_busy(port)
-            else:
-                total += target.buffered_flits(port)
-        return total

@@ -16,7 +16,6 @@ from repro.sim.invariants import InvariantChecker, InvariantViolation
 from repro.sim.kernel import CycleHook, SimulationError, Simulator
 from repro.sim.link import Link, LinkOverflowError
 from repro.sim.rng import DeterministicRng
-from repro.sim.tracelog import TraceEvent, TraceLog
 
 __all__ = [
     "CycleHook",
@@ -27,6 +26,4 @@ __all__ = [
     "LinkOverflowError",
     "SimulationError",
     "Simulator",
-    "TraceEvent",
-    "TraceLog",
 ]

@@ -31,7 +31,8 @@ the live network and verifies:
 Violations raise :class:`InvariantViolation` naming the router, port, and
 cycle.  The checker understands both flit-reservation and virtual-channel
 (including wormhole) networks; for VC networks the conservation law checked
-is the per-VC credit loop instead of advance credits.
+is the per-VC credit loop instead of advance credits, plus the shared-credit
+ledger when ``buffer_sharing="pool"`` lets a VC borrow beyond its own slot.
 
 Checking is O(routers x ports x horizon) per cycle -- far too slow for
 production sweeps, which is why it is opt-in (``--check-invariants`` on the
@@ -332,6 +333,12 @@ class InvariantChecker:
         from repro.topology.mesh import opposite_port
 
         config = network.config
+        # A private VC owns buffers_per_vc slots.  In a shared pool it owns
+        # one and may borrow every shared slot, so its counter legitimately
+        # runs negative; the pool's own ledger pins it instead.
+        pooled = config.buffer_sharing == "pool"
+        shared = config.buffers_per_input - config.num_vcs
+        floor = config.buffers_per_vc - 1 - shared if pooled else 0
         for router in network.routers:
             node = router.node
             for port in range(len(router.in_queues)):
@@ -357,13 +364,26 @@ class InvariantChecker:
                 data_link = router.out_data_links[port]
                 credit_link = downstream.out_credit_links[in_port]
                 assert data_link is not None and credit_link is not None
+                if pooled:
+                    borrowed = sum(
+                        max(0, config.buffers_per_vc - credits - 1)
+                        for credits in router.out_credits[port]
+                    )
+                    held = router.out_shared_credits[port]
+                    if held < 0 or held + borrowed != shared:
+                        raise InvariantViolation(
+                            f"shared credit pool broken at {self._where(node, port, now)}: "
+                            f"{held} shared credits held + {borrowed} borrowed by the "
+                            f"VCs, expected {shared} and none negative",
+                            node=node, port=port, cycle=now,
+                        )
                 for vc in range(config.num_vcs):
                     credits = router.out_credits[port][vc]
-                    if not 0 <= credits <= config.buffers_per_vc:
+                    if not floor <= credits <= config.buffers_per_vc:
                         raise InvariantViolation(
                             f"credit counter at {self._where(node, port, now)} "
                             f"vc {vc} is {credits}, outside "
-                            f"[0, {config.buffers_per_vc}]",
+                            f"[{floor}, {config.buffers_per_vc}]",
                             node=node, port=port, cycle=now,
                         )
                     # The conservation audit must see in-flight items without

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.vc.config import VCConfig
 from repro.baselines.vc.network import VCNetwork
 from repro.harness.saturation import measure_throughput
+from repro.sim.invariants import InvariantChecker
 from repro.sim.kernel import Simulator
 from repro.topology.mesh import Mesh2D
 
@@ -33,7 +34,7 @@ class TestSharedPool:
     def test_queue_can_exceed_private_share(self, mesh4, pool_config):
         """The point of pooling: one VC may hold more than buffers_per_vc."""
         network = VCNetwork(pool_config, mesh=mesh4, injection_rate=0.12, seed=5)
-        simulator = Simulator(network)
+        simulator = Simulator(network, checker=InvariantChecker())  # sanitized: borrowing is legal
         exceeded = False
         for _ in range(120):
             simulator.step(10)
@@ -45,7 +46,7 @@ class TestSharedPool:
 
     def test_pool_occupancy_bounded(self, mesh4, pool_config):
         network = VCNetwork(pool_config, mesh=mesh4, injection_rate=0.12, seed=5)
-        simulator = Simulator(network)
+        simulator = Simulator(network, checker=InvariantChecker())
         for _ in range(60):
             simulator.step(20)
             for router in network.routers:

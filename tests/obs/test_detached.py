@@ -6,10 +6,15 @@ Two properties, pinned with the order-permutation digest helpers from
 * a run with a probe attached-then-detached before stepping emits zero
   events and is digest-identical to a run that never saw the obs layer;
 * a run observed end-to-end (probe attached while stepping) is *still*
-  digest-identical -- the probe only reads, never perturbs.
+  digest-identical -- the probe only reads, never perturbs;
+* the simulator does not even import the tooling: ``import repro`` loads no
+  ``repro.obs``, ``repro.analysis`` or ``repro.lint`` module.
 """
 
 from __future__ import annotations
+
+import subprocess
+import sys
 
 import pytest
 
@@ -166,3 +171,22 @@ def test_progress_hook_is_digest_neutral(build) -> None:
     diff = baseline.diff_fields(digest)
     assert not diff, f"progress reporter perturbed the run: {diff}"
     assert baseline.hexdigest() == digest.hexdigest()
+
+
+def test_import_repro_loads_no_tooling() -> None:
+    """The `repro.sim.tracelog` shim used to drag all of `repro.obs` (ledger,
+    heatmap, attribution, ...) in behind `import repro.sim.kernel`."""
+    listing = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro\n"
+            "print([m for m in sys.modules"
+            " if m.startswith(('repro.obs', 'repro.analysis', 'repro.lint'))])",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert listing.stdout.strip() == "[]"

@@ -6,19 +6,11 @@ import pytest
 
 from repro.baselines.vc.network import VCNetwork
 from repro.core.network import FRNetwork
-from repro.obs.metrics import Counter, CycleHistogram, Gauge, MetricsRegistry
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.sim.kernel import Simulator
 
 
 class TestInstruments:
-    def test_counter_accumulates_and_rejects_negative(self) -> None:
-        counter = Counter("drops")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
     def test_gauge_tracks_last_and_mean(self) -> None:
         gauge = Gauge("occupancy")
         with pytest.raises(ValueError):
@@ -29,13 +21,6 @@ class TestInstruments:
         assert gauge.mean == 3.0
         assert gauge.samples == 2
 
-    def test_histogram_bins_and_mean(self) -> None:
-        histogram = CycleHistogram("queue", bin_width=5)
-        for value in (0, 3, 7, 12):
-            histogram.record(value)
-        assert histogram.bins() == [(0, 2), (5, 1), (10, 1)]
-        assert histogram.mean == pytest.approx(5.5)
-
 
 class TestMetricsRegistry:
     def test_rejects_bad_cadence(self) -> None:
@@ -44,9 +29,7 @@ class TestMetricsRegistry:
 
     def test_get_or_create_returns_same_instrument(self) -> None:
         registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
         assert registry.gauge("y") is registry.gauge("y")
-        assert registry.histogram("z") is registry.histogram("z")
 
     def test_duplicate_column_rejected(self) -> None:
         registry = MetricsRegistry()

@@ -75,12 +75,6 @@ def test_fr_kinds_unchanged() -> None:
     assert all(event.cycle >= 0 for event in log.events)
 
 
-def test_tracelog_importable_from_historic_module() -> None:
-    from repro.sim.tracelog import TraceLog as LegacyTraceLog
-
-    assert LegacyTraceLog is TraceLog
-
-
 @pytest.mark.parametrize(
     "make_network",
     [

@@ -69,13 +69,7 @@ def test_active_and_dense_runs_are_digest_identical(name, seed):
     )
 
 
-# InvariantChecker bounds every per-VC credit counter to [0, buffers_per_vc],
-# which pool sharing breaks by design (a VC may borrow shared slots, so its
-# counter goes negative): the checker cannot run on the pool variant.
-CHECKABLE = sorted(set(CONFIGS) - {"VC8-pool"})
-
-
-@pytest.mark.parametrize("name", CHECKABLE)
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_equivalence_holds_under_the_invariant_checker(name):
     active = _digest(CONFIGS[name], 1, dense=False, check_invariants=True)
     dense = _digest(CONFIGS[name], 1, dense=True, check_invariants=True)

@@ -6,6 +6,8 @@ cleared busy bits, an unbalanced credit ledger, a vanished flit -- must be
 caught within one cycle of the corruption.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,8 +29,11 @@ def warmed_fr(seed=1, load=0.4, cycles=WARM_CYCLES):
     return network, simulator
 
 
-def warmed_vc(seed=1, load=0.4, cycles=WARM_CYCLES):
-    network = build_network(VC8, load, packet_length=5, seed=seed)
+VC8_POOL = replace(VC8, buffer_sharing="pool")
+
+
+def warmed_vc(seed=1, load=0.4, cycles=WARM_CYCLES, config=VC8):
+    network = build_network(config, load, packet_length=5, seed=seed)
     simulator = Simulator(network, checker=InvariantChecker())
     simulator.step(cycles)
     return network, simulator
@@ -74,6 +79,14 @@ class TestCleanRuns:
         _, simulator = warmed_vc(seed=seed)
         assert simulator.checker.checks_run == WARM_CYCLES
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shared_pool_run_is_clean(self, seed):
+        # Pooled VCs borrow shared slots, so per-VC counters run negative by
+        # design (-3 is reached in these runs); the checker must allow it.
+        network, simulator = warmed_vc(seed=seed, cycles=300, config=VC8_POOL)
+        assert simulator.checker.checks_run == 300
+        assert min(min(c) for r in network.routers for c in r.out_credits) < 0
+
     def test_wormhole_run_is_clean(self):
         network = build_network(WormholeConfig(buffers_per_input=8), 0.3, seed=3)
         simulator = Simulator(network, checker=InvariantChecker())
@@ -90,6 +103,10 @@ class TestCleanRuns:
             FR6, 0.4, packet_length=5, seed=1, preset="quick", check_invariants=True
         )
         assert result.accepted_load > 0.3
+
+    def test_run_experiment_sanitized_shared_pool(self):
+        checked = run_experiment(VC8_POOL, 0.4, preset="quick", check_invariants=True)
+        assert checked == run_experiment(VC8_POOL, 0.4, preset="quick")
 
 
 class TestCorruptedReservationTable:
@@ -195,6 +212,23 @@ class TestVCInvariants:
         with pytest.raises(InvariantViolation) as excinfo:
             simulator.step()
         assert excinfo.value.node == router.node
+
+    @pytest.mark.parametrize("drift", [1, -1])
+    def test_shared_credit_corruption_caught(self, drift):
+        network, simulator = warmed_vc(seed=1, config=VC8_POOL)
+        router = next(r for r in network.routers if r.connected_outputs)
+        port = router.connected_outputs[0]
+        router.out_shared_credits[port] += drift  # a shared slot appears / evaporates
+        with pytest.raises(InvariantViolation, match="shared credit pool") as excinfo:
+            simulator.step()
+        assert (excinfo.value.node, excinfo.value.port) == (router.node, port)
+
+    def test_shared_pool_credit_counter_corruption_caught(self):
+        network, simulator = warmed_vc(seed=1, config=VC8_POOL)
+        router = next(r for r in network.routers if r.connected_outputs)
+        router.out_credits[router.connected_outputs[0]][0] -= 1  # a credit evaporates
+        with pytest.raises(InvariantViolation):
+            simulator.step()
 
     def test_pool_counter_drift_caught(self):
         network, simulator = warmed_vc(seed=2)

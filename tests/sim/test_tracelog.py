@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.config import FRConfig
 from repro.core.network import FRNetwork
+from repro.obs.trace import TraceLog
 from repro.sim.kernel import Simulator
-from repro.sim.tracelog import TraceLog
 from repro.topology.mesh import Mesh2D
 
 
