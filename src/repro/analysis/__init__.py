@@ -4,6 +4,9 @@ This subpackage reasons about the simulator *as a model*, complementing the
 per-file lint pass in :mod:`repro.lint` and the runtime
 :class:`~repro.sim.invariants.InvariantChecker`:
 
+* :mod:`repro.analysis.imports` -- import-graph primitives (``repro.*``
+  import closure of a module); the only module here that a measured path
+  loads, through the run ledger's code digest.
 * :mod:`repro.analysis.cdg` -- channel-dependency-graph deadlock prover:
   certifies a routing function deadlock-free (with a checkable rank
   certificate) or exhibits the exact offending channel cycle.
@@ -34,90 +37,6 @@ per-file lint pass in :mod:`repro.lint` and the runtime
 
 Everything here is pure stdlib and imports the simulator's modules only as
 source text (AST) or through their public APIs; analysis never mutates
-model state.
+model state.  Nothing is re-exported here: importers name the submodule
+they need, so the ledger's code digest does not load the provers.
 """
-
-from repro.analysis.broken_routing import GreedyDimensionRouting, YXMixedRouting
-from repro.analysis.cdg import (
-    CDGReport,
-    Channel,
-    RoutingLivelock,
-    build_cdg,
-    prove_deadlock_freedom,
-    tarjan_sccs,
-)
-from repro.analysis.phases import (
-    AnalysisError,
-    Hazard,
-    ModelRaceReport,
-    PhaseEffects,
-    analyze_known_networks,
-    analyze_model,
-    analyze_module_ast,
-    analyze_module_source,
-)
-from repro.analysis.hotpath import (
-    HotFunction,
-    HotPathFinding,
-    ModelHotPathReport,
-    VerifyReport,
-    analyze_hot_model,
-    analyze_hot_networks,
-    build_budget,
-    check_budget,
-    verify_allocations,
-)
-from repro.analysis.isolation import (
-    EntryPointReport,
-    IsolationError,
-    IsolationFinding,
-    IsolationVerifyReport,
-    analyze_entry_points,
-    build_certificate,
-    check_certificate,
-    verify_isolation,
-)
-from repro.analysis.permute import (
-    PermutationReport,
-    RunDigest,
-    run_permutation_diff,
-)
-
-__all__ = [
-    "AnalysisError",
-    "CDGReport",
-    "Channel",
-    "EntryPointReport",
-    "GreedyDimensionRouting",
-    "Hazard",
-    "HotFunction",
-    "HotPathFinding",
-    "IsolationError",
-    "IsolationFinding",
-    "IsolationVerifyReport",
-    "ModelHotPathReport",
-    "ModelRaceReport",
-    "PermutationReport",
-    "PhaseEffects",
-    "RoutingLivelock",
-    "RunDigest",
-    "VerifyReport",
-    "YXMixedRouting",
-    "analyze_entry_points",
-    "analyze_hot_model",
-    "analyze_hot_networks",
-    "analyze_known_networks",
-    "analyze_model",
-    "analyze_module_ast",
-    "analyze_module_source",
-    "build_budget",
-    "build_cdg",
-    "build_certificate",
-    "check_budget",
-    "check_certificate",
-    "prove_deadlock_freedom",
-    "run_permutation_diff",
-    "tarjan_sccs",
-    "verify_allocations",
-    "verify_isolation",
-]

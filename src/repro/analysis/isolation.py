@@ -76,12 +76,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.analysis.phases import (
-    MUTATOR_METHODS,
-    ImportSource,
-    SingleModuleResolver,
-    SourceResolver,
-)
+from repro.analysis.imports import MODEL_MODULES, import_closure
+from repro.analysis.phases import MUTATOR_METHODS, SingleModuleResolver, SourceResolver
 
 CERT_SCHEMA = "frfc-isolation/1"
 
@@ -138,14 +134,6 @@ NON_RETAINING_CALLEES = frozenset(
 
 #: The sanctioned wrapper around stdlib ``random`` -- exempt from pass 2.
 RNG_WRAPPER_SUFFIX = "sim/rng.py"
-
-#: Modules that hold each model's config/network pair; the per-model entry
-#: trees stop at the *other* models' modules.
-MODEL_MODULES: Mapping[str, tuple[str, ...]] = {
-    "FR": ("repro.core.config", "repro.core.network"),
-    "VC": ("repro.baselines.vc.config", "repro.baselines.vc.network"),
-    "WH": ("repro.baselines.wormhole.network",),
-}
 
 _ALL_MODEL_MODULES = frozenset(m for mods in MODEL_MODULES.values() for m in mods)
 
@@ -234,41 +222,6 @@ def _rel_path(origin: str) -> str:
         if index >= 0:
             return posix[index + 1 :]
     return posix
-
-
-def import_closure(
-    root: str, resolver: ImportSource, stop: frozenset[str] = frozenset()
-) -> list[str]:
-    """Transitive ``repro.*`` import closure of ``root``, sorted.
-
-    Modules in ``stop`` are excluded along with everything only reachable
-    through them.  The resolver says what each module's import statements
-    are; which modules those name is decided here, against the tree as it
-    is now (``from pkg import name`` is an edge to ``pkg.name`` exactly
-    when that is a module today).
-    """
-    seen: set[str] = set()
-    frontier = [root]
-    while frontier:
-        module = frontier.pop()
-        if module in seen or module in stop:
-            continue
-        imports = resolver.module_imports(module)
-        if imports is None:
-            continue
-        seen.add(module)
-        for level, target, names in imports:
-            if level:
-                base = module.split(".")[:-level]
-                target = ".".join(base + ([target] if target else []))
-            if not target.startswith("repro"):
-                continue
-            frontier.append(target)
-            for name in names:
-                submodule = f"{target}.{name}"
-                if resolver.module_imports(submodule) is not None:
-                    frontier.append(submodule)
-    return sorted(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,11 @@ Two refinements keep the proof exact for the active-set kernel:
 from __future__ import annotations
 
 import ast
-import importlib.util
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Sequence
+
+from repro.analysis.imports import RawImport, module_origin, raw_imports
 
 #: The Link pipeline API: calls that preserve the delay >= 1 argument.
 LINK_API_CALLS = frozenset({"send", "receive", "capacity_remaining", "in_flight"})
@@ -164,74 +165,6 @@ class ClassInfo:
                 chain.append(resolved)
                 frontier.append(resolved)
         return chain
-
-
-#: One import statement as written: ``(level, module, names)``.  ``import
-#: a.b`` is ``(0, "a.b", ())``; ``from . import x`` is ``(1, "", ("x",))``.
-RawImport = tuple[int, str, tuple[str, ...]]
-
-
-class ImportSource(Protocol):
-    """What :func:`repro.analysis.isolation.import_closure` asks of a resolver."""
-
-    def module_imports(self, module: str) -> Sequence[RawImport] | None:
-        """The import statements of ``module`` (None when it has no source)."""
-
-
-def module_origin(module: str) -> str | None:
-    """The ``.py`` file ``module`` would be imported from, if there is one."""
-    try:
-        spec = importlib.util.find_spec(module)
-    except (ImportError, ValueError):
-        return None
-    if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
-        return None
-    return spec.origin
-
-
-def _is_type_checking(test: ast.expr) -> bool:
-    """``TYPE_CHECKING`` or ``<typing>.TYPE_CHECKING``, and nothing around it."""
-    if isinstance(test, ast.Attribute):
-        return test.attr == "TYPE_CHECKING" and isinstance(test.value, ast.Name)
-    return isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
-
-
-def raw_imports(tree: ast.Module) -> list[RawImport]:
-    """Every import statement of ``tree`` that can execute, as written.
-
-    Function-level lazy imports count (they execute at run time); the body
-    of a bare ``if TYPE_CHECKING:`` does not (it never executes).  Any other
-    test that merely mentions ``TYPE_CHECKING`` (``not TYPE_CHECKING``,
-    ``TYPE_CHECKING or X``) can be true at run time, so both branches count.
-    """
-    found: list[RawImport] = []
-    _collect_imports(tree.body, found)
-    return found
-
-
-def _collect_imports(body: Sequence[ast.stmt], found: list[RawImport]) -> None:
-    # A module-level recursion, not a nested closure: a self-referencing
-    # closure is cyclic garbage that would keep every parsed module alive
-    # until the next full collection.
-    for stmt in body:
-        if isinstance(stmt, ast.If) and _is_type_checking(stmt.test):
-            _collect_imports(stmt.orelse, found)
-            continue
-        if isinstance(stmt, ast.Import):
-            found.extend((0, alias.name, ()) for alias in stmt.names)
-        elif isinstance(stmt, ast.ImportFrom):
-            names = tuple(alias.name for alias in stmt.names)
-            found.append((stmt.level, stmt.module or "", names))
-        for child_body in (
-            getattr(stmt, "body", None),
-            getattr(stmt, "orelse", None),
-            getattr(stmt, "finalbody", None),
-        ):
-            if isinstance(child_body, list):
-                _collect_imports(child_body, found)
-        if isinstance(stmt, ast.Try):
-            for handler in stmt.handlers:
-                _collect_imports(handler.body, found)
 
 
 class SourceResolver:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
@@ -288,21 +289,6 @@ def _utilization_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cycles", type=int, default=2000)
 
 
-def _bench_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("action", choices=["record", "check"])
-    parser.add_argument(
-        "--min-ratio",
-        type=float,
-        help="for `check`: fail when fresh/baseline cycles/sec falls below this",
-    )
-    parser.add_argument(
-        "--models",
-        action="store_true",
-        help="for `check`: also gate the per-model quick points "
-        "(VC8, WH8, FR6 on 16x16)",
-    )
-
-
 def _runs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("action", choices=["list", "show", "diff", "gc"])
     parser.add_argument(
@@ -321,9 +307,8 @@ def _runs_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kind",
-        choices=["experiment", "throughput", "bench"],
-        help="for `list`: show only records of this kind (bench-gate entries "
-        "otherwise drown sweep records)",
+        choices=["experiment", "throughput"],
+        help="for `list`: show only records of this kind",
     )
 
 
@@ -660,41 +645,6 @@ def _utilization(args: argparse.Namespace) -> None:
     print(measure_channel_utilization(network, simulator, args.cycles).format(count=8))
 
 
-def _load_bench_gate() -> Any:
-    """Load tools/bench_gate.py by file path (it is not part of the package).
-
-    The tool lives outside ``src`` because it owns the committed baseline
-    paths; that makes it reachable only from a source checkout.
-    """
-    import importlib.util
-    from pathlib import Path
-
-    tool = Path(__file__).resolve().parents[3] / "tools" / "bench_gate.py"
-    if not tool.exists():
-        raise SystemExit(
-            "frfc bench wraps tools/bench_gate.py, which was not found next "
-            "to this package -- run it from a source checkout"
-        )
-    spec = importlib.util.spec_from_file_location("bench_gate_cli", tool)
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _bench(args: argparse.Namespace) -> int:
-    """The trajectory gate (tools/bench_gate.py) by another door."""
-    if args.action != "check" and (args.models or args.min_ratio is not None):
-        raise SystemExit("--min-ratio/--models apply to `frfc bench check` only")
-    argv = [args.action]
-    if args.action == "check":
-        if args.min_ratio is not None:
-            argv += ["--min-ratio", str(args.min_ratio)]
-        if args.models:
-            argv.append("--models")
-    return int(_load_bench_gate().main(argv))
-
-
 def _runs(args: argparse.Namespace) -> None:
     """list / show / diff / gc over one ledger store."""
     from repro.obs.ledger import LedgerError, RunLedger, describe_record, format_run_diff
@@ -745,7 +695,9 @@ def _run_analysis_gates() -> None:
     provenance, ordered iteration.  All three gates are pure analysis --
     no simulation runs, so the cost is a fraction of a second.
     """
-    from repro.analysis import analyze_entry_points, analyze_known_networks, prove_deadlock_freedom
+    from repro.analysis.cdg import prove_deadlock_freedom
+    from repro.analysis.isolation import analyze_entry_points
+    from repro.analysis.phases import analyze_known_networks
     from repro.topology.mesh import Mesh2D
     from repro.topology.routing import DimensionOrderRouting
 
@@ -771,7 +723,7 @@ _UNMEASURED = partial(_point_shape, packet_length=False)  # the command counts c
 #: (name, handler, the flag groups its subparser is built with, help): a new
 #: command is one row here plus its handler.
 COMMANDS: tuple[
-    tuple[str, Callable[[argparse.Namespace], "int | None"], tuple[Callable[..., Any], ...], str],
+    tuple[str, Callable[[argparse.Namespace], None], tuple[Callable[..., Any], ...], str],
     ...,
 ] = (
     ("table1", lambda args: print(format_table1(table1())), (), "storage overhead (analytical)"),
@@ -805,9 +757,6 @@ COMMANDS: tuple[
      "print one packet's event timeline"),
     ("utilization", _utilization, (_UNMEASURED, _utilization_flags, _run_flags),
      "per-channel busy fractions"),
-    ("bench", _bench, (_bench_flags,),
-     "record or check the committed simulator-speed baselines (wraps tools/bench_gate.py; "
-     "see docs/performance.md)"),
     ("runs", _runs, (_runs_flags,),
      "inspect the content-addressed run ledger (list / show HASH / diff A B / gc; see "
      "docs/observability.md)"),
@@ -841,9 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    args.invocation = "frfc " + " ".join(sys.argv[1:] if argv is None else argv)
+def _dispatch(args: argparse.Namespace) -> None:
     if args.analyze:
         _run_analysis_gates()
     # A root-position flag whose group the command was not built with is an
@@ -857,7 +804,21 @@ def main(argv: list[str] | None = None) -> int:
             f"{names} {'apply' if len(actions) > 1 else 'applies'} to the "
             f"{', '.join(takers[:-1])}, and {takers[-1]} commands only"
         )
-    return args.handler(args) or 0
+    args.handler(args)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    args.invocation = "frfc " + " ".join(sys.argv[1:] if argv is None else argv)
+    try:
+        _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (`frfc runs list | head -1`).  Point stdout at
+        # devnull so the interpreter's flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

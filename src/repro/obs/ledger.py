@@ -37,11 +37,17 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
+from repro.analysis.imports import (
+    MODEL_MODULES,
+    RawImport,
+    import_closure,
+    module_origin,
+    raw_imports,
+)
 from repro.obs.exporters import atomic_write_text
 from repro.obs.manifest import MANIFEST_SCHEMA, _config_dict, git_sha
 
 if TYPE_CHECKING:
-    from repro.analysis.phases import RawImport
     from repro.harness.experiment import AnyConfig, ExperimentResult
     from repro.harness.presets import MeasurementPreset
     from repro.obs.report import AttributionSummary
@@ -91,8 +97,6 @@ def _module_source(module: str) -> Optional[bytes]:
     what was searched for imports.  Module-level so tests can monkeypatch it
     to simulate code edits without touching the working tree.
     """
-    from repro.analysis.phases import module_origin
-
     origin = module_origin(module)
     return None if origin is None else Path(origin).read_bytes()
 
@@ -116,7 +120,7 @@ class _ImportMemo:
         #: module -> SHA-256 (hex) of the bytes read for it this time.
         self.hashes: dict[str, str] = {}
         self._entries = self._read()
-        self._answered: dict[str, Optional[Sequence["RawImport"]]] = {}
+        self._answered: dict[str, Optional[Sequence[RawImport]]] = {}
         self._stale = False
 
     def _read(self) -> dict[str, Any]:
@@ -129,7 +133,7 @@ class _ImportMemo:
             pass
         return {}
 
-    def module_imports(self, module: str) -> Optional[Sequence["RawImport"]]:
+    def module_imports(self, module: str) -> Optional[Sequence[RawImport]]:
         if module in self._answered:
             return self._answered[module]
         source = _module_source(module)
@@ -140,12 +144,10 @@ class _ImportMemo:
         self.hashes[module] = sha
         entry = self._entries.get(module)
         if entry is None or entry["sha256"] != sha:
-            from repro.analysis.phases import raw_imports
-
             entry = {"sha256": sha, "imports": raw_imports(ast.parse(source))}
             self._entries[module] = entry
             self._stale = True
-        imports: Sequence["RawImport"] = entry["imports"]
+        imports: Sequence[RawImport] = entry["imports"]
         self._answered[module] = imports
         return imports
 
@@ -229,8 +231,6 @@ class RunLedger:
         cached = self._code_digests.get(model)
         if cached is not None:
             return cached
-        from repro.analysis.isolation import MODEL_MODULES, import_closure
-
         if model not in MODEL_MODULES:
             known = ", ".join(sorted(MODEL_MODULES))
             raise LedgerError(f"unknown model kind {model!r}; known: {known}")
@@ -328,17 +328,6 @@ class RunLedger:
             check_invariants,
             params,
         )
-
-    def bench_identity(self, model: str, workload: Mapping[str, Any]) -> dict[str, Any]:
-        """The identity of one benchmark-gate workload (``kind: bench``)."""
-        return {
-            "schema": MANIFEST_SCHEMA,
-            "kind": "bench",
-            "model": model,
-            "workload": dict(workload),
-            "git_sha": self.current_git_sha(),
-            "code_digest": self.code_digest(model),
-        }
 
     def _identity(
         self,
@@ -504,8 +493,8 @@ class RunLedger:
         """All verified records (sorted by hash) plus any corrupt files.
 
         ``kind`` keeps only records of one kind (``experiment``,
-        ``throughput``, ``bench``); corrupt files are always reported --
-        a filter must never hide damage.
+        ``throughput``); corrupt files are always reported -- a filter
+        must never hide damage.
         """
         records: list[dict[str, Any]] = []
         corrupt: list[Path] = []
@@ -592,23 +581,6 @@ class RunLedger:
                 record["attribution"] = summary.as_dict()
             if obs.profiler is not None:
                 record["profile"] = obs.profiler.report()
-        return self._write(record)
-
-    def record_bench(
-        self,
-        identity: Mapping[str, Any],
-        result: Mapping[str, Any],
-        profile: Mapping[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        """Store one benchmark-gate run (``kind: bench``).
-
-        ``result`` holds only the deterministic outputs (cycles, packets);
-        the wall-clock numbers live in the explicitly-labelled ``profile``
-        block, mirroring experiment records.
-        """
-        record = self._base_record(identity, dict(result))
-        if profile is not None:
-            record["profile"] = dict(profile)
         return self._write(record)
 
     # -- replay -------------------------------------------------------------
@@ -717,31 +689,21 @@ def describe_record(record: Mapping[str, Any]) -> str:
     identity = record["identity"]
     short = str(record["identity_hash"])[:12]
     kind = str(record.get("kind", "?"))
-    if kind == "bench":
-        workload = identity.get("workload", {})
-        label = (
-            f"{workload.get('label', workload.get('config', '?'))} "
-            f"load={workload.get('offered_load', 0.0):.2f} "
-            f"preset={workload.get('preset', '?')} seed={workload.get('seed', '?')}"
+    config = identity.get("config", {})
+    label = (
+        f"{config.get('name', identity.get('model', '?'))} "
+        f"load={identity.get('offered_load', 0.0):.2f} "
+        f"preset={identity.get('preset', {}).get('name', '?')} "
+        f"seed={identity.get('seed', '?')}"
+    )
+    result = record.get("result", {})
+    if kind == "experiment":
+        tail = (
+            f"latency={result.get('mean_latency', 0.0):.1f} "
+            f"accepted={result.get('accepted_load', 0.0):.3f}"
         )
-        profile = record.get("profile") or {}
-        tail = f"cps={profile.get('cycles_per_second', 0.0):.1f}"
     else:
-        config = identity.get("config", {})
-        label = (
-            f"{config.get('name', identity.get('model', '?'))} "
-            f"load={identity.get('offered_load', 0.0):.2f} "
-            f"preset={identity.get('preset', {}).get('name', '?')} "
-            f"seed={identity.get('seed', '?')}"
-        )
-        result = record.get("result", {})
-        if kind == "experiment":
-            tail = (
-                f"latency={result.get('mean_latency', 0.0):.1f} "
-                f"accepted={result.get('accepted_load', 0.0):.3f}"
-            )
-        else:
-            tail = f"accepted={result.get('accepted_load', 0.0):.3f}"
+        tail = f"accepted={result.get('accepted_load', 0.0):.3f}"
     return f"{short}  {kind:<10}  {identity.get('model', '?'):<2}  {label}  {tail}"
 
 

@@ -8,8 +8,9 @@
     only after an *intentional* change to CLI output, and say so in the
     commit message.
 (b) The run flags parse to the same namespace before and after every
-    simulating subcommand, and every example in the runner's docstring
-    parses.
+    simulating subcommand, and every example in the runner's docstring and
+    in the fenced ``bash`` blocks of README.md, docs/performance.md and
+    docs/observability.md parses (and every script they run exists).
 (c) Every (export flag, command) pair is either honoured -- the artifact
     exists and is non-empty -- or refused in both positions.
 (d) No flag is declared at two ``add_argument`` sites.
@@ -90,7 +91,6 @@ MINIMAL: dict[str, list[str]] = {
     "heatmap": ["FR6", "0.1"],
     "trace": ["FR6"],
     "utilization": ["FR6", "0.3"],
-    "bench": ["check"],
     "runs": ["list"],
 }
 RUN_FLAGS = ["--preset", "quick", "--seed", "2", "--check-invariants"]
@@ -99,7 +99,16 @@ SIMULATING = [name for name, _, flags, _ in runner.COMMANDS if runner._run_flags
 
 def test_every_command_has_a_minimal_invocation() -> None:
     assert [name for name, *_ in runner.COMMANDS] == list(MINIMAL)
-    assert set(MINIMAL) - set(SIMULATING) == {"table1", "table2", "bench", "runs"}
+    assert len(runner.COMMANDS) == 15
+    assert set(MINIMAL) - set(SIMULATING) == {"table1", "table2", "runs"}
+
+
+def test_the_retired_bench_command_is_refused(capsys) -> None:
+    # Speed is measured by bench/run.py alone (docs/performance.md).
+    with pytest.raises(SystemExit) as refused:
+        runner.main(["bench", "check"])
+    assert refused.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", SIMULATING)
@@ -111,8 +120,8 @@ def test_run_flags_parse_alike_before_and_after_the_subcommand(command: str) -> 
     assert vars(before) == vars(after)
 
 
-def _docstring_examples() -> list[list[str]]:
-    text = inspect.getdoc(runner) or ""
+def _frfc_examples(text: str) -> list[list[str]]:
+    """The argv of every `frfc ...` line of ``text`` (comments dropped, `\\` joined)."""
     examples: list[list[str]] = []
     pending = ""
     for line in text.splitlines():
@@ -130,11 +139,25 @@ def _docstring_examples() -> list[list[str]]:
 
 
 def test_docstring_examples_parse() -> None:
-    examples = _docstring_examples()
+    examples = _frfc_examples(inspect.getdoc(runner) or "")
     assert {argv[0] for argv in examples} >= set(SIMULATING) | {"table1", "table2"}
     parser = runner.build_parser()
     for argv in examples:
         parser.parse_args(argv)  # argparse exits 2 on an example that has rotted
+
+
+@pytest.mark.parametrize("page", ["README.md", "docs/performance.md", "docs/observability.md"])
+def test_documented_commands_exist(page: str) -> None:
+    """Inside the pages' fenced ``bash`` blocks, every `frfc ...` line parses
+    and every `python tools/x.py` / `python bench/x.py` names a file."""
+    root = Path(__file__).parents[2]
+    blocks = re.findall(r"^```bash\n(.*?)^```", (root / page).read_text("utf-8"), re.S | re.M)
+    parser = runner.build_parser()
+    for block in blocks:
+        for argv in _frfc_examples(block):
+            parser.parse_args(argv)  # exits 2 on a command or flag that is gone
+        for script in re.findall(r"python ((?:tools|bench)/\w+\.py)", block):
+            assert (root / script).is_file(), f"{page} runs {script}, which does not exist"
 
 
 # -- (c) export flags: honoured or refused, never ignored --------------------
@@ -263,7 +286,6 @@ def test_no_flag_is_declared_twice() -> None:
             assert isinstance(name, ast.Constant), "flag names are literals"
             sites[name.value] = sites.get(name.value, 0) + 1
     twice = {name: count for name, count in sites.items() if count > 1}
-    # `trace` and `utilization` give --cycles different defaults; `bench` and
-    # `runs` each have their own `action` choices.
-    assert twice == {"--cycles": 2, "action": 2}
+    # `trace` and `utilization` give --cycles different defaults.
+    assert twice == {"--cycles": 2}
     assert sum(sites.values()) <= 55

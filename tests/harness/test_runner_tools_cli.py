@@ -41,43 +41,6 @@ class TestUtilizationCommand:
         assert "hottest channels" in out
 
 
-class TestBenchCommand:
-    """`frfc bench` delegates to tools/bench_gate.py; stub the loader so
-    the tests exercise the wrapper, not the multi-second workloads."""
-
-    def _stub_gate(self, monkeypatch):
-        calls = []
-
-        class FakeGate:
-            @staticmethod
-            def main(argv):
-                calls.append(list(argv))
-                return 0
-
-        monkeypatch.setattr(runner, "_load_bench_gate", lambda: FakeGate)
-        return calls
-
-    def test_bench_record_forwards(self, monkeypatch):
-        calls = self._stub_gate(monkeypatch)
-        assert runner.main(["bench", "record"]) == 0
-        assert calls == [["record"]]
-
-    def test_bench_check_forwards_flags(self, monkeypatch):
-        calls = self._stub_gate(monkeypatch)
-        assert runner.main(["bench", "check", "--min-ratio", "0.5", "--models"]) == 0
-        assert calls == [["check", "--min-ratio", "0.5", "--models"]]
-
-    def test_bench_rejects_check_flags_on_record(self, monkeypatch):
-        self._stub_gate(monkeypatch)
-        with pytest.raises(SystemExit):
-            runner.main(["bench", "record", "--models"])
-
-    def test_loader_finds_the_real_tool(self):
-        module = runner._load_bench_gate()
-        assert callable(module.main)
-        assert module.WORKLOAD["config"] == "FR6"
-
-
 class TestAnalyzeGate:
     """`frfc --analyze` runs the cdg + races + isolation gates up front."""
 
@@ -94,7 +57,7 @@ class TestAnalyzeGate:
         assert "isolation-certified" in out
 
     def test_gate_aborts_on_isolation_violation(self, monkeypatch, capsys):
-        import repro.analysis
+        from repro.analysis import isolation
         from repro.analysis.isolation import EntryPointReport, IsolationFinding
 
         violated = EntryPointReport(
@@ -115,9 +78,7 @@ class TestAnalyzeGate:
                 ),
             ),
         )
-        monkeypatch.setattr(
-            repro.analysis, "analyze_entry_points", lambda: [violated]
-        )
+        monkeypatch.setattr(isolation, "analyze_entry_points", lambda: [violated])
         with pytest.raises(SystemExit, match="isolation violated"):
             runner.main(
                 ["--analyze", "trace", "FR6", "--packet", "1", "--cycles", "200"]

@@ -8,12 +8,28 @@ suite pays for simulation exactly once.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.harness.runner import main
 
 LOADS = "0.2,0.3"
+
+#: One record as the retired benchmark gate wrote them, made with the ledger
+#: of the last tree that had the gate, at a throw-away commit on top of it (so
+#: its git SHA is no checkout's and `gc` always finds it stale).
+LEGACY_BENCH = Path(__file__).parent / "fixtures" / "legacy_bench_record.json"
+
+
+def _plant_legacy_bench(store: Path) -> Path:
+    legacy = store / f"{json.loads(LEGACY_BENCH.read_text())['identity_hash']}.json"
+    shutil.copy(LEGACY_BENCH, legacy)
+    return legacy
 
 
 @pytest.fixture(scope="module")
@@ -85,37 +101,71 @@ def test_runs_list_show_diff(store, capsys):
 
 
 def test_runs_list_kind_filter(store, capsys):
-    # Drop a bench-gate record into the experiment store, as the bench gate
-    # itself would, then check each filter sees only its own kind.
-    from repro.obs.ledger import RunLedger
-
-    ledger = RunLedger(store)
-    identity = ledger.bench_identity(
-        model="FR",
-        workload={"label": "gate", "config": "FR6", "offered_load": 0.2,
-                  "preset": "quick", "seed": 1},
-    )
-    ledger.record_bench(identity, {"cycles": 100})
+    # A store an older checkout filled also holds `kind: bench` records (no
+    # command writes one any more).  They must degrade loudly, never crash:
+    # listed with hash and kind, hash-verified like any record, and evicted
+    # as stale by `gc`, which leaves the store as the next test expects it.
+    legacy = _plant_legacy_bench(store)
 
     assert main(["runs", "list", "--store", str(store)]) == 0
     unfiltered = capsys.readouterr().out.splitlines()
-    assert any("bench" in line for line in unfiltered)
-    assert any("experiment" in line for line in unfiltered)
+    assert [line.split()[:2] for line in unfiltered if "bench" in line] == [
+        [legacy.stem[:12], "bench"]
+    ]
+    assert sum("experiment" in line for line in unfiltered) == 2
 
     assert main(["runs", "list", "--store", str(store), "--kind", "experiment"]) == 0
     experiments = capsys.readouterr().out.splitlines()
     assert len(experiments) == 2
     assert all("experiment" in line for line in experiments)
 
-    assert main(["runs", "list", "--store", str(store), "--kind", "bench"]) == 0
-    benches = capsys.readouterr().out.splitlines()
-    assert len(benches) == 1 and "bench" in benches[0]
-
     assert main(["runs", "list", "--store", str(store), "--kind", "throughput"]) == 0
     assert "no throughput records" in capsys.readouterr().out
 
     with pytest.raises(SystemExit, match="list"):
-        main(["runs", "gc", "--store", str(store), "--kind", "bench"])
+        main(["runs", "gc", "--store", str(store), "--kind", "experiment"])
+    with pytest.raises(SystemExit):  # argparse: invalid choice
+        main(["runs", "list", "--store", str(store), "--kind", "bench"])
+    capsys.readouterr()
+
+    legacy.write_text(legacy.read_text().replace('"cycles": 1844', '"cycles": 1845', 1))
+    assert main(["runs", "list", "--store", str(store)]) == 0
+    assert f"{legacy.stem[:12]}  CORRUPT" in capsys.readouterr().out
+    _plant_legacy_bench(store)
+
+    assert main(["runs", "gc", "--store", str(store)]) == 0
+    assert "kept 2, evicted 1" in capsys.readouterr().out
+    assert not legacy.exists()
+
+
+def test_runs_list_survives_a_reader_that_leaves(store, tmp_path):
+    # `frfc runs list --store S | head -1` is how the CI `obs` job picks a
+    # record; the lines after the first go to a closed pipe.
+    crowded = tmp_path / "runs"
+    shutil.copytree(store, crowded)
+    _plant_legacy_bench(crowded)  # three records, three lines
+    command = [sys.executable, "-m", "repro.harness.runner", "runs", "list", "--store", str(crowded)]
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}  # one write per line
+
+    listing = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert listing.stdout is not None and listing.stderr is not None
+    first = listing.stdout.readline()
+    listing.stdout.close()
+    stderr = listing.stderr.read()
+    listing.stderr.close()
+    assert listing.wait(timeout=60) in (0, 1)  # 0 when it had finished writing first
+    assert b"experiment" in first or b"bench" in first
+    assert b"Traceback" not in stderr and b"BrokenPipe" not in stderr
+
+    # The same with the race taken out: the reader is gone before line one.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        gone = subprocess.run(command, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert gone.returncode == 1
+    assert gone.stderr == b""
 
 
 def test_runs_rejects_unknown_and_ambiguous_prefixes(store):

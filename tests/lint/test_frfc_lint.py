@@ -705,7 +705,7 @@ class TestD014ResultWritesAreAtomic:
         assert lint(snippet, path="src/repro/obs/exporters.py") == []
         assert lint(snippet, path="src/repro/obs/ledger.py") == []
         assert lint(snippet, path="src/repro/harness/runner.py") == []
-        assert lint(snippet, path="tools/bench_gate.py") == []
+        assert lint(snippet, path="tools/frfc_analyze.py") == []
 
     def test_dynamic_mode_not_flagged(self):
         # A non-literal mode cannot be proven truncating; stay quiet.

@@ -8,7 +8,8 @@ Two properties, pinned with the order-permutation digest helpers from
 * a run observed end-to-end (probe attached while stepping) is *still*
   digest-identical -- the probe only reads, never perturbs;
 * the simulator does not even import the tooling: ``import repro`` loads no
-  ``repro.obs``, ``repro.analysis`` or ``repro.lint`` module.
+  ``repro.obs``, ``repro.analysis`` or ``repro.lint`` module, and a ledgered
+  sweep loads ``repro.analysis.imports`` but none of the provers.
 """
 
 from __future__ import annotations
@@ -190,3 +191,32 @@ def test_import_repro_loads_no_tooling() -> None:
         timeout=60,
     )
     assert listing.stdout.strip() == "[]"
+
+
+def test_ledgered_sweep_loads_no_prover(tmp_path) -> None:
+    """The code digest needs the import-closure walker and nothing else of
+    ``repro.analysis``: the provers (5k lines) stay unimported."""
+    listing = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys\n"
+            "from repro import FR6, Mesh2D\n"
+            "from repro.harness.presets import MeasurementPreset\n"
+            "from repro.harness.sweep import run_load_sweep\n"
+            "from repro.obs.ledger import RunLedger\n"
+            "tiny = MeasurementPreset(name='tiny', min_warmup=40, warmup_window=20,\n"
+            "    max_warmup=80, sample_cycles=60, drain_cycles=600, throughput_cycles=60)\n"
+            "ledger = RunLedger(sys.argv[1])\n"
+            "run_load_sweep(FR6, [0.1], preset=tiny, mesh=Mesh2D(4, 4), ledger=ledger)\n"
+            "assert ledger.recorded == 1 and len(ledger.code_digest('FR')) == 64\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(('repro.analysis.', 'repro.lint'))))",
+            str(tmp_path / "runs"),
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert listing.stdout.strip() == "['repro.analysis.imports']"

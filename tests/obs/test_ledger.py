@@ -267,23 +267,6 @@ def test_throughput_round_trip(ledger):
     assert ledger.replay_throughput(record) == 0.4987
 
 
-def test_bench_round_trip(ledger):
-    identity = ledger.bench_identity(
-        "FR", {"label": "FR6", "config": "FR6", "offered_load": 0.5}
-    )
-    ledger.record_bench(
-        identity,
-        {"cycles": 1844, "packets_measured": 3777},
-        profile={"cycles_per_second": 550.0},
-    )
-    record = ledger.lookup(identity)
-    assert record is not None
-    assert record["kind"] == "bench"
-    assert record["result"]["cycles"] == 1844
-    line = describe_record(record)
-    assert "bench" in line and "FR6" in line and "cps=550.0" in line
-
-
 def test_describe_and_diff_render(ledger):
     identity_a = _identity(ledger, load=0.2)
     identity_b = _identity(ledger, load=0.3)
