@@ -21,9 +21,8 @@ per-file lint pass in :mod:`repro.lint` and the runtime
   evaluation orders and requiring bit-identical results.
 * :mod:`repro.analysis.hotpath` -- static hot-path performance analyzer:
   inventories the allocation/churn constructs inside each model's
-  per-cycle call tree, backs the D009/D010 lint rules, and gates the
-  committed ``frfc-hotpath/1`` allocation budget (with a ``tracemalloc``
-  runtime cross-check).
+  per-cycle call tree and gates the committed ``frfc-hotpath/1``
+  allocation budget (with a ``tracemalloc`` runtime cross-check).
 * :mod:`repro.analysis.isolation` -- whole-program determinism & isolation
   prover: certifies each ``run_experiment``/``run_load_sweep`` entry point
   a pure function of (config, seed, load) -- shared-mutable-state

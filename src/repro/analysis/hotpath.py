@@ -18,9 +18,6 @@ Three consumers sit on top of the analyzer:
   model).  The committed budget (``benchmarks/results/HOTPATH_baseline.json``)
   plus ``--check-budget`` form the CI regression gate: a PR that introduces
   a *new* hot-path allocation site above budget fails loudly.
-* The D009 (hot-path allocation) and D010 (slot-less hot-path class) lint
-  rules reuse the single-file mode (:func:`analyze_module_hotpath_ast`),
-  with the usual ``# frfc-lint: disable=`` suppression.
 * ``--verify`` cross-checks the static pass against reality: it steps a
   short seeded workload under :mod:`tracemalloc` and demands that the
   statically discovered hot functions (plus the known hook-reached
@@ -94,7 +91,6 @@ __all__ = [
     "VerifyReport",
     "analyze_hot_model",
     "analyze_hot_networks",
-    "analyze_module_hotpath_ast",
     "analyze_module_hotpath_source",
     "build_budget",
     "check_budget",
@@ -1121,22 +1117,17 @@ def analyze_hot_networks() -> list[ModelHotPathReport]:
 
 
 def analyze_module_hotpath_source(source: str, path: str) -> list[HotPathFinding]:
-    """Single-file analysis for the D009/D010 lint rules, from source text."""
+    """Single-file analysis, from source text (how tests feed it fixtures).
+
+    Only models whose ``step()`` class *and* actor collection classes all
+    live in the file are analyzed.  Models with imported actors are skipped
+    here -- the whole-model ``frfc_analyze hotpath`` pass (and its committed
+    budget) covers those.
+    """
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError:
         return []
-    return analyze_module_hotpath_ast(tree, path)
-
-
-def analyze_module_hotpath_ast(tree: ast.Module, path: str) -> list[HotPathFinding]:
-    """Single-file analysis for the D009/D010 lint rules.
-
-    Mirrors the D007 gate: only models whose ``step()`` class *and* actor
-    collection classes all live in the linted file are analyzed.  Models
-    with imported actors are skipped here -- the whole-model
-    ``frfc_analyze hotpath`` pass (and its committed budget) covers those.
-    """
     module = f"<file:{path}>"
     resolver = SingleModuleResolver(module, tree)
     local_classes = {

@@ -103,6 +103,12 @@ def import_closure(
     are; which modules those name is decided here, against the tree as it
     is now (``from pkg import name`` is an edge to ``pkg.name`` exactly
     when that is a module today).
+
+    Every ancestor package of a member is a member too: importing ``a.b.c``
+    executes ``a/__init__.py`` and ``a/b/__init__.py`` first.  What such an
+    ``__init__`` imports is followed only if something in the closure also
+    imports the package by name -- ``repro/__init__.py`` imports every
+    model, so following it would make every closure the whole tree.
     """
     seen: set[str] = set()
     frontier = [root]
@@ -125,4 +131,9 @@ def import_closure(
                 submodule = f"{target}.{name}"
                 if resolver.module_imports(submodule) is not None:
                     frontier.append(submodule)
+    for module in sorted(seen):
+        while "." in module:
+            module = module.rpartition(".")[0]
+            if module not in seen and resolver.module_imports(module) is not None:
+                seen.add(module)
     return sorted(seen)

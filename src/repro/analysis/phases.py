@@ -221,11 +221,11 @@ class SourceResolver:
 
 
 class SingleModuleResolver(SourceResolver):
-    """Resolution restricted to one already-parsed module (lint-rule mode).
+    """Resolution restricted to one already-parsed module.
 
-    Imports are deliberately not followed: the per-file D007 lint rule can
-    only reason about models whose actor classes live in the same file;
-    the ``frfc_analyze races`` CLI does the whole-model, cross-module job.
+    Imports are deliberately not followed: the single-file mode can only
+    reason about models whose actor classes live in the same file; the
+    ``frfc_analyze races`` CLI does the whole-model, cross-module job.
     """
 
     def __init__(self, module: str, tree: ast.Module) -> None:
@@ -1249,22 +1249,17 @@ def analyze_known_networks() -> list[ModelRaceReport]:
 
 
 def analyze_module_source(source: str, path: str) -> list[Hazard]:
-    """Single-file analysis for the D007 lint rule, from source text."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []
-    return analyze_module_ast(tree, path)
-
-
-def analyze_module_ast(tree: ast.Module, path: str) -> list[Hazard]:
-    """Single-file analysis for the D007 lint rule.
+    """Single-file analysis, from source text (how tests feed it fixtures).
 
     Finds every class in the module that defines both a ``step`` method and
     an actor construction whose classes all live in the *same file*, and
     returns the hazards of each.  Models whose actor classes are imported
     are skipped -- the whole-model ``frfc_analyze races`` pass covers those.
     """
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError:
+        return []
     module = f"<file:{path}>"
     resolver = SingleModuleResolver(module, tree)
     local_classes = {stmt.name for stmt in tree.body if isinstance(stmt, ast.ClassDef)}

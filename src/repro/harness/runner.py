@@ -305,11 +305,6 @@ def _runs_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="for `gc`: evict every record, not just stale/corrupt ones",
     )
-    parser.add_argument(
-        "--kind",
-        choices=["experiment", "throughput"],
-        help="for `list`: show only records of this kind",
-    )
 
 
 # -- what the handlers share --------------------------------------------------
@@ -601,9 +596,7 @@ def _heatmap(args: argparse.Namespace) -> None:
             select = window
             if select is None and args.at is None:
                 # Default to the measurement window, like the session export.
-                select = session.window
-                if select is not None and not registry.rows_in_window(*select):
-                    select = None
+                select = registry.sampled_window(session.window)
             payload = heatmap.build_heatmap(
                 registry,
                 registry.network.mesh,
@@ -649,17 +642,12 @@ def _runs(args: argparse.Namespace) -> None:
     """list / show / diff / gc over one ledger store."""
     from repro.obs.ledger import LedgerError, RunLedger, describe_record, format_run_diff
 
-    if args.kind is not None and args.action != "list":
-        raise SystemExit("--kind applies to `frfc runs list` only")
     ledger = RunLedger(args.store)
     try:
         if args.action == "list":
-            records, corrupt = ledger.scan(kind=args.kind)
+            records, corrupt = ledger.scan()
             if not records and not corrupt:
-                where = f"no run records in {ledger.root}"
-                if args.kind is not None:
-                    where = f"no {args.kind} records in {ledger.root}"
-                print(where)
+                print(f"no run records in {ledger.root}")
                 return
             for record in records:
                 print(describe_record(record))

@@ -12,14 +12,12 @@ robustness cross-check; for well-behaved networks knee and plateau agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.harness.experiment import AnyConfig, build_network
+from repro.harness.experiment import AnyConfig, run_experiment
 from repro.harness.presets import MeasurementPreset, get_preset
-from repro.sim.invariants import InvariantChecker
-from repro.sim.kernel import Simulator
-from repro.stats.warmup import WarmupDetector
+from repro.harness.sweep import _attribution_session, _point_attribution
 from repro.topology.mesh import Mesh2D
 
 if TYPE_CHECKING:
@@ -62,65 +60,32 @@ def measure_throughput(
 ) -> float:
     """Accepted load (fraction of capacity) at one offered load.
 
-    Runs warm-up plus a fixed measurement window and counts ejected flits;
-    no packet-sample drain, so oversaturated loads cost the same as light
-    ones.  With ``obs`` the probe attaches for the run (the caller
-    finalizes artifacts afterwards), same contract as ``run_experiment``.
-    With ``ledger`` the probe is memoised in the content-addressed run
-    ledger (``kind: throughput``), same contract as ``run_experiment``.
+    A probe is an experiment that does not drain: ``run_experiment`` under
+    the caller's preset with the sample window set to ``throughput_cycles``
+    and a zero drain deadline (named ``<preset>/probe``, which is what
+    ``frfc runs list`` shows), so oversaturated loads cost the same as light
+    ones.  ``obs`` and ``ledger`` are ``run_experiment``'s: the probe's
+    record is a full experiment record of that derived preset.
     """
     preset = get_preset(preset)
-    mesh = mesh or Mesh2D(8, 8)
-    identity = None
-    if ledger is not None:
-        identity = ledger.throughput_identity(
-            config=config,
-            offered_load=offered_load,
-            packet_length=packet_length,
-            seed=seed,
-            preset=preset,
-            mesh=mesh,
-            check_invariants=check_invariants,
-            network_kwargs=kwargs,
-        )
-        record = ledger.lookup(identity)
-        if record is not None:
-            return ledger.replay_throughput(record)
-    network = build_network(
-        config, offered_load, packet_length=packet_length, seed=seed, mesh=mesh, **kwargs
+    probe = replace(
+        preset,
+        name=f"{preset.name}/probe",
+        sample_cycles=preset.throughput_cycles,
+        drain_cycles=0,
     )
-    checker = InvariantChecker() if check_invariants else None
-    if obs is not None:
-        obs.attach(network)
-        simulator = Simulator(
-            network, checker=checker, observers=obs.observers, profiler=obs.profiler
-        )
-        obs.enter_phase("warmup")
-    else:
-        simulator = Simulator(network, checker=checker)
-    try:
-        detector = WarmupDetector(
-            min_cycles=preset.min_warmup, window=preset.warmup_window
-        )
-        while simulator.cycle < preset.max_warmup:
-            simulator.step()
-            if detector.record(network.mean_source_queue_length(), simulator.cycle):
-                break
-        start = simulator.cycle
-        network.set_measure_window(start, start + preset.throughput_cycles)
-        if obs is not None:
-            obs.note_window(start, start + preset.throughput_cycles)
-            obs.enter_phase("sample")
-        simulator.step(preset.throughput_cycles)
-    finally:
-        if obs is not None:
-            obs.detach()
-    accepted = (
-        network.throughput.flits_per_node_per_cycle / mesh.capacity_flits_per_node()
-    )
-    if ledger is not None and identity is not None:
-        ledger.record_throughput(identity, accepted, obs=obs)
-    return accepted
+    return run_experiment(
+        config,
+        offered_load,
+        packet_length=packet_length,
+        seed=seed,
+        preset=probe,
+        mesh=mesh,
+        check_invariants=check_invariants,
+        obs=obs,
+        ledger=ledger,
+        **kwargs,
+    ).accepted_load
 
 
 def find_saturation(
@@ -149,19 +114,15 @@ def find_saturation(
     component mix on the way into saturation.
 
     With ``ledger`` each probe consults the content-addressed run ledger
-    (``kind: throughput``) before simulating, so re-running a search -- or
-    bisecting near a previously probed region -- replays verified recorded
-    probes; ``progress`` brackets each probe in the heartbeat stream.
+    before simulating, so re-running a search -- or bisecting near a
+    previously probed region -- replays verified recorded probes;
+    ``progress`` brackets each probe in the heartbeat stream.
     """
     probes: list[tuple[float, float]] = []
     summaries: list[tuple[float, "AttributionSummary"]] = []
 
     def stable(load: float) -> bool:
-        session = None
-        if attribute:
-            from repro.harness.sweep import _attribution_session
-
-            session = _attribution_session()
+        session = _attribution_session() if attribute else None
         if progress is not None:
             progress.begin_point(
                 index=len(probes) + 1, total=0, label=f"probe load={load:.3f}"
@@ -182,13 +143,8 @@ def find_saturation(
                 summary=f"accepted={accepted:.3f}",
             )
         probes.append((load, accepted))
-        if session is not None:
-            if ledger is not None and ledger.last_hit:
-                summary = ledger.last_attribution()
-            else:
-                summary = session.attribution_summary(
-                    label=f"{_config_name(config)} load={load:.2f}"
-                )
+        if attribute:
+            summary = _point_attribution(f"{config.name} load={load:.2f}", session, ledger)
             if summary is not None:
                 summaries.append((load, summary))
         return accepted >= load * (1.0 - delivery_tolerance)
@@ -207,17 +163,12 @@ def find_saturation(
                 low = mid
             else:
                 high = mid
-    name = _config_name(config)
     plateau = max(accepted for _, accepted in probes)
     return SaturationResult(
-        config_name=name,
+        config_name=config.name,
         packet_length=packet_length,
         knee=low,
         plateau=plateau,
         probes=sorted(probes),
         attribution=[summary for _, summary in sorted(summaries, key=lambda s: s[0])],
     )
-
-
-def _config_name(config: AnyConfig) -> str:
-    return config.name

@@ -244,16 +244,8 @@ def _sweep(
         if observed:
             result.telemetry.append(_point_telemetry(load, hit, session, ledger))
         if attribute:
-            # A ledgered point reads its evidence from its record: the
-            # simulation may have run in a pool worker, not under `session`.
-            summary = (
-                ledger.last_attribution()
-                if ledger is not None and ledger.last_record is not None
-                else session.attribution_summary(
-                    label=f"{point.config_name} load={load:.2f}"
-                )
-                if session is not None
-                else None
+            summary = _point_attribution(
+                f"{point.config_name} load={load:.2f}", session, ledger
             )
             if summary is not None:
                 result.attribution.append(summary)
@@ -266,15 +258,12 @@ def _sweep(
         ):
             from repro.obs.heatmap import build_frame
 
-            window = session.window
-            if window is not None and not session.spatial.rows_in_window(*window):
-                window = None
             frames.append(
                 build_frame(
                     session.spatial,
                     session.spatial.network.mesh,
                     label=f"{point.config_name} load={load:.2f}",
-                    window=window,
+                    window=session.spatial.sampled_window(session.window),
                 )
             )
             frame_registry = session.spatial
@@ -322,6 +311,17 @@ def _point_telemetry(
         if session is not None and session.profiler is not None
         else None,
     )
+
+
+def _point_attribution(
+    label: str, session: "ObsSession | None", ledger: "RunLedger | None"
+) -> "AttributionSummary | None":
+    """One point's attribution rollup, from the same source as its telemetry:
+    a ledgered point reads its record (the simulation may have run in a pool
+    worker, not under ``session``), any other its live session."""
+    if ledger is not None and ledger.last_record is not None:
+        return ledger.last_attribution()
+    return session.attribution_summary(label=label) if session is not None else None
 
 
 def _attribution_session() -> "ObsSession":

@@ -1,78 +1,12 @@
-"""The frfc-lint rules (D001-D014).
+"""The frfc-lint rules.
 
 These are *simulator-specific* checks: each one fences off a class of bug
-that has silently corrupted cycle-accurate models in practice.
-
-=====  ======================================================================
-D001   No wall-clock reads or global ``random`` in ``src/repro``.  Every
-       stochastic draw must flow through :class:`repro.sim.rng.DeterministicRng`
-       so a run is exactly reproducible from one integer seed; wall-clock
-       values make results unrepeatable by construction.
-D002   No iteration over bare ``set`` expressions.  Set iteration order
-       depends on element hashes, so a router that walks a set makes
-       hash-order-dependent (hence irreproducible) arbitration decisions.
-D003   Every ``*Error``/``*Violation`` exception must be raised with a
-       message.  Protocol-violation exceptions are the simulator's crash
-       dumps; a bare ``raise BufferPoolError()`` loses the router, port, and
-       cycle that make the report actionable.
-D004   No mutable default arguments.  A shared default list/dict aliases
-       state across router instances -- precisely the cross-node coupling a
-       cycle-stepped model must never have.
-D005   Public functions in ``core/``, ``sim/``, and ``baselines/`` must be
-       fully type-annotated (every parameter and the return type), keeping
-       the ``mypy --strict`` gate airtight where the flit accounting lives.
-D006   No reaching into another object's private state.  Writing
-       ``other._x`` (or reading a ``Link``'s pipeline internals outside
-       ``sim/link.py``) bypasses the API that keeps cross-router coupling
-       inside Link pipeline stages, the invariant the whole cycle model
-       rests on.
-D007   No same-cycle cross-actor races in a network ``step()`` phase loop:
-       the per-file slice of the :mod:`repro.analysis.phases` detector.
-       Flags writes to shared state and non-API channel access inside a
-       phase loop when the model's actor classes live in the same file;
-       the whole-model pass runs as ``frfc_analyze races``.
-D008   No direct ``print`` in simulator code.  Only the CLI front-ends may
-       write to stdout; everything else reports through return values,
-       exceptions, or the observability layer (:mod:`repro.obs`), so
-       library callers and the event exporters own the output stream.
-D009   No avoidable allocation on the per-cycle hot path: the per-file
-       slice of the :mod:`repro.analysis.hotpath` analyzer.  Flags
-       list/dict/set displays, comprehensions, generator expressions,
-       object construction, closures, and string concatenation inside
-       functions reachable from a local model's ``step()``; the
-       whole-model pass runs as ``frfc_analyze hotpath`` and its counts
-       are CI-gated by ``benchmarks/results/HOTPATH_baseline.json``.
-D010   Classes reachable from a local model's per-cycle hot path must
-       declare ``__slots__``.  A slotless instance drags a ``__dict__``
-       through every cycle: more memory traffic and slower attribute
-       lookups exactly where the simulator spends its time.
-D011   No writes to (or escapes of) module-level or class-level mutable
-       state: the per-file slice of the :mod:`repro.analysis.isolation`
-       prover's pass 1.  A module dict written from a method, a
-       class-level list shared by every instance, or a ``functools``
-       cache couples sweep points that must be independent; the
-       whole-program pass runs as ``frfc_analyze isolation`` and is
-       CI-gated by ``benchmarks/results/ISOLATION_baseline.json``.
-D012   Every stochastic draw must have traceable seed provenance: the
-       receiver of a draw call has to trace to a
-       :class:`repro.sim.rng.DeterministicRng` -- an annotated parameter,
-       an explicit construction, a ``.spawn(...)``, or a ``self`` attr
-       assigned one of those (isolation prover pass 2).  D001 bans the
-       ambient ``random`` module; D012 additionally rejects draws whose
-       generator cannot be traced to an explicit seed.
-D013   No digest-reaching unordered iteration: iterating set-typed
-       names/attributes, keying containers by ``id()``/``hash()``, or
-       sorting with identity-based keys (isolation prover pass 3).  D002
-       bans bare set *expressions*; D013 follows set-typed values and
-       identity keys, whose order leaks the process hash seed into
-       simulated state or exported artifacts.
-D014   No direct truncating writes (``open(..., "w")``/``"x"`` or
-       ``Path.write_text``/``write_bytes``) in ``src/repro`` outside
-       ``obs/exporters.py``, ``obs/ledger.py``, and the CLI front-ends.
-       Result-bearing files must flow through the atomic (temp + rename),
-       hash-verified writers so a crashed run can never leave a torn
-       artifact that a later ledger lookup would trust.
-=====  ======================================================================
+that has silently corrupted cycle-accurate models in practice.  One class
+per rule below, ``ALL_RULES`` at the bottom; the catalogue -- what each id
+rejects and why it matters here -- is the table in
+``docs/static-analysis.md`` (a test holds it equal to ``ALL_RULES``), and
+``frfc-lint --list-rules`` prints the one-line summaries.  The ids have gaps
+(D007, D009, D010): retired rules keep their numbers.
 
 Any rule can be silenced on a single line with ``# frfc-lint: disable=Dxxx``
 or on the following line with ``# frfc-lint: disable-next-line=Dxxx``.
@@ -412,76 +346,6 @@ class NoForeignPrivateState(Rule):
         return isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
 
 
-class NoPhaseRaces(Rule):
-    """D007: a step() phase loop must be actor-order-independent."""
-
-    rule_id = "D007"
-    summary = "same-cycle cross-actor race in a network step() phase loop"
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        # Imported lazily: the analyzer lives in repro.analysis, which pulls
-        # in the network models; plain lint runs should not pay that unless
-        # a file actually gets here.
-        from repro.analysis.phases import analyze_module_ast
-
-        for hazard in analyze_module_ast(tree, path):
-            yield Finding(
-                path=path,
-                line=hazard.line,
-                column=0,
-                rule_id=self.rule_id,
-                message=f"[{hazard.phase}] {hazard.message} (via {hazard.location})",
-            )
-
-
-class NoHotPathAllocation(Rule):
-    """D009: no avoidable allocation inside a per-cycle hot path."""
-
-    rule_id = "D009"
-    summary = "allocation on the per-cycle hot path"
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        # Lazy for the same reason as D007: repro.analysis is heavyweight.
-        from repro.analysis.hotpath import (
-            ALLOCATION_CATEGORIES,
-            analyze_module_hotpath_ast,
-        )
-
-        for hit in analyze_module_hotpath_ast(tree, path):
-            if hit.category not in ALLOCATION_CATEGORIES:
-                continue
-            loop = " [in loop]" if hit.in_loop else ""
-            yield Finding(
-                path=path,
-                line=hit.line,
-                column=0,
-                rule_id=self.rule_id,
-                message=f"{hit.category} in hot function {hit.qualname}: "
-                f"{hit.detail}{loop}",
-            )
-
-
-class HotPathClassesHaveSlots(Rule):
-    """D010: classes on the per-cycle hot path must declare __slots__."""
-
-    rule_id = "D010"
-    summary = "hot-path class without __slots__"
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        from repro.analysis.hotpath import analyze_module_hotpath_ast
-
-        for hit in analyze_module_hotpath_ast(tree, path):
-            if hit.category != "slotless_class":
-                continue
-            yield Finding(
-                path=path,
-                line=hit.line,
-                column=0,
-                rule_id=self.rule_id,
-                message=hit.detail,
-            )
-
-
 class NoPrintInSimulator(Rule):
     """D008: only the CLI front-ends may write to stdout."""
 
@@ -525,7 +389,8 @@ class NoSharedMutableState(Rule):
     summary = "module/class-level mutable state written or escaping"
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        # Lazy for the same reason as D007/D009: repro.analysis is heavyweight.
+        # Imported lazily: the prover is heavyweight, and a plain lint run
+        # should not pay for it unless a file actually gets here.
         from repro.analysis.isolation import analyze_module_isolation_ast
 
         for hit in analyze_module_isolation_ast(tree, path):
@@ -646,10 +511,7 @@ ALL_RULES: tuple[Rule, ...] = (
     NoMutableDefaults(),
     PublicFunctionsAnnotated(),
     NoForeignPrivateState(),
-    NoPhaseRaces(),
     NoPrintInSimulator(),
-    NoHotPathAllocation(),
-    HotPathClassesHaveSlots(),
     NoSharedMutableState(),
     RngProvenanceTraceable(),
     NoUnorderedIterationToDigest(),

@@ -282,6 +282,7 @@ class RunLedger:
         network_kwargs: Mapping[str, Any],
     ) -> dict[str, Any]:
         """The identity of one ``run_experiment`` call, pre-execution."""
+        model = _model_kind(config)
         params: dict[str, Any] = {
             # A non-string pattern identifies by repr: a default object repr
             # embeds the instance address, which can only cause misses (safe),
@@ -292,63 +293,13 @@ class RunLedger:
         }
         for key in sorted(network_kwargs):
             params[key] = repr(network_kwargs[key])
-        return self._identity(
-            "experiment",
-            config,
-            offered_load,
-            packet_length,
-            seed,
-            preset,
-            mesh,
-            check_invariants,
-            params,
-        )
-
-    def throughput_identity(
-        self,
-        config: "AnyConfig",
-        offered_load: float,
-        packet_length: int,
-        seed: int,
-        preset: "MeasurementPreset",
-        mesh: "Mesh2D",
-        check_invariants: bool,
-        network_kwargs: Mapping[str, Any],
-    ) -> dict[str, Any]:
-        """The identity of one ``measure_throughput`` probe, pre-execution."""
-        params = {key: repr(network_kwargs[key]) for key in sorted(network_kwargs)}
-        return self._identity(
-            "throughput",
-            config,
-            offered_load,
-            packet_length,
-            seed,
-            preset,
-            mesh,
-            check_invariants,
-            params,
-        )
-
-    def _identity(
-        self,
-        kind: str,
-        config: "AnyConfig",
-        offered_load: float,
-        packet_length: int,
-        seed: int,
-        preset: "MeasurementPreset",
-        mesh: "Mesh2D",
-        check_invariants: bool,
-        params: Mapping[str, Any],
-    ) -> dict[str, Any]:
-        model = _model_kind(config)
         # `name` is a property on the config dataclasses, so asdict drops it;
         # the listing/label machinery wants it in the identity.
         config_record = _config_dict(config)
         config_record.setdefault("name", getattr(config, "name", type(config).__name__))
         return {
             "schema": MANIFEST_SCHEMA,
-            "kind": kind,
+            "kind": "experiment",
             "model": model,
             "config": config_record,
             "offered_load": offered_load,
@@ -357,7 +308,7 @@ class RunLedger:
             "preset": dataclasses.asdict(preset),
             "mesh": f"{mesh.width}x{mesh.height}",
             "check_invariants": bool(check_invariants),
-            "params": dict(params),
+            "params": params,
             "git_sha": self.current_git_sha(),
             "code_digest": self.code_digest(model),
         }
@@ -489,25 +440,17 @@ class RunLedger:
         self.last_record = None
         return None
 
-    def scan(self, kind: str | None = None) -> tuple[list[dict[str, Any]], list[Path]]:
-        """All verified records (sorted by hash) plus any corrupt files.
-
-        ``kind`` keeps only records of one kind (``experiment``,
-        ``throughput``); corrupt files are always reported -- a filter
-        must never hide damage.
-        """
+    def scan(self) -> tuple[list[dict[str, Any]], list[Path]]:
+        """All verified records (sorted by hash) plus any corrupt files."""
         records: list[dict[str, Any]] = []
         corrupt: list[Path] = []
         if not self.root.is_dir():
             return records, corrupt
         for path in sorted(self.root.glob("*.json")):
             try:
-                record = self.load(path.stem)
+                records.append(self.load(path.stem))
             except LedgerCorruptionError:
                 corrupt.append(path)
-                continue
-            if kind is None or record.get("kind") == kind:
-                records.append(record)
         return records, corrupt
 
     # -- write path: always atomic ------------------------------------------
@@ -526,20 +469,6 @@ class RunLedger:
         self.last_record = body
         return body
 
-    def _base_record(
-        self, identity: Mapping[str, Any], result: Any
-    ) -> dict[str, Any]:
-        return {
-            "schema": RECORD_SCHEMA,
-            "kind": identity["kind"],
-            "identity": dict(identity),
-            "identity_hash": self.identity_hash(identity),
-            "result": result,
-            "result_digest": content_digest(result),
-            "events_dropped": 0,
-            "artifacts": {},
-        }
-
     def record_experiment(
         self,
         identity: Mapping[str, Any],
@@ -548,34 +477,20 @@ class RunLedger:
         artifacts: Mapping[str, str] | None = None,
     ) -> dict[str, Any]:
         """Store one measured experiment point (plus obs evidence if any)."""
-        record = self._base_record(identity, dataclasses.asdict(result))
-        if artifacts:
-            record["artifacts"] = dict(artifacts)
+        stored = dataclasses.asdict(result)
+        record: dict[str, Any] = {
+            "schema": RECORD_SCHEMA,
+            "kind": identity["kind"],
+            "identity": dict(identity),
+            "identity_hash": self.identity_hash(identity),
+            "result": stored,
+            "result_digest": content_digest(stored),
+            "events_dropped": 0,
+            "artifacts": dict(artifacts or {}),
+        }
         if obs is not None:
             record["events_dropped"] = obs.events_dropped
             label = f"{result.config_name} load={result.offered_load:.2f}"
-            summary = obs.attribution_summary(label=label)
-            if summary is not None:
-                record["attribution"] = summary.as_dict()
-            if obs.profiler is not None:
-                record["profile"] = obs.profiler.report()
-        return self._write(record)
-
-    def record_throughput(
-        self,
-        identity: Mapping[str, Any],
-        accepted_load: float,
-        obs: "ObsSession | None" = None,
-    ) -> dict[str, Any]:
-        """Store one throughput probe (saturation search)."""
-        record = self._base_record(identity, {"accepted_load": accepted_load})
-        if obs is not None:
-            record["events_dropped"] = obs.events_dropped
-            config = identity.get("config", {})
-            label = (
-                f"{config.get('name', identity.get('model', '?'))} "
-                f"load={identity.get('offered_load', 0.0):.2f}"
-            )
             summary = obs.attribution_summary(label=label)
             if summary is not None:
                 record["attribution"] = summary.as_dict()
@@ -593,10 +508,6 @@ class RunLedger:
         data = dict(record["result"])
         data["extras"] = dict(data.get("extras") or {})
         return ExperimentResult(**data)
-
-    @staticmethod
-    def replay_throughput(record: Mapping[str, Any]) -> float:
-        return float(record["result"]["accepted_load"])
 
     def last_attribution(self) -> "AttributionSummary | None":
         """The attribution summary of the most recent hit/record, if any."""
@@ -697,13 +608,9 @@ def describe_record(record: Mapping[str, Any]) -> str:
         f"seed={identity.get('seed', '?')}"
     )
     result = record.get("result", {})
-    if kind == "experiment":
-        tail = (
-            f"latency={result.get('mean_latency', 0.0):.1f} "
-            f"accepted={result.get('accepted_load', 0.0):.3f}"
-        )
-    else:
-        tail = f"accepted={result.get('accepted_load', 0.0):.3f}"
+    tail = f"accepted={result.get('accepted_load', 0.0):.3f}"
+    if "mean_latency" in result:  # absent from what the retired kinds stored
+        tail = f"latency={result['mean_latency']:.1f} {tail}"
     return f"{short}  {kind:<10}  {identity.get('model', '?'):<2}  {label}  {tail}"
 
 

@@ -193,16 +193,11 @@ class ObsSession:
             if self.spatial.samples:
                 from repro.obs.heatmap import build_heatmap, write_heatmap_json
 
-                # Aggregate the measured window when it holds sampled rows;
-                # a run too short for the cadence falls back to every row.
-                window = self.window
-                if window is not None and not self.spatial.rows_in_window(*window):
-                    window = None
                 payload = build_heatmap(
                     self.spatial,
                     network.mesh,
                     label=self._summary_label(config, offered_load),
-                    window=window,
+                    window=self.spatial.sampled_window(self.window),
                     context={
                         "seed": seed,
                         "preset": preset,

@@ -199,6 +199,13 @@ class SpatialMetricsRegistry:
             if sample.window_start >= start and sample.window_end <= end
         ]
 
+    def sampled_window(self, window: tuple[int, int] | None) -> tuple[int, int] | None:
+        """``window`` if it holds sampled rows, else None (aggregate every row):
+        a measurement window shorter than the cadence still yields a frame."""
+        if window is not None and not self.rows_in_window(*window):
+            return None
+        return window
+
     def summary(self) -> dict[str, Any]:
         """Shape and peak facts for the manifest."""
         report: dict[str, Any] = {

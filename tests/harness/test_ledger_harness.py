@@ -17,6 +17,7 @@ import pytest
 from repro.baselines.vc.config import VC8
 from repro.baselines.wormhole.network import WormholeConfig
 from repro.core.config import FR6
+from repro.harness import experiment as experiment_module
 from repro.harness.experiment import run_experiment
 from repro.harness.presets import MeasurementPreset
 from repro.harness.saturation import find_saturation
@@ -181,20 +182,22 @@ def test_unrelated_code_edit_keeps_hitting(tmp_path, monkeypatch):
     assert edited.hits == 1 and edited.recorded == 0
 
 
-def test_find_saturation_replays_probes(tmp_path):
+def test_find_saturation_replays_probes(tmp_path, monkeypatch):
     store = tmp_path / "runs"
+    search = dict(
+        preset=TINY, mesh=Mesh2D(4, 4), low=0.3, high=0.9, resolution=0.1, attribute=True
+    )
     cold_ledger = RunLedger(store)
-    cold = find_saturation(
-        FR6, preset=TINY, mesh=Mesh2D(4, 4),
-        low=0.3, high=0.9, resolution=0.1, ledger=cold_ledger,
-    )
-    assert cold_ledger.recorded == len(cold.probes)
+    cold = find_saturation(FR6, ledger=cold_ledger, **search)
+    assert cold_ledger.recorded == len(cold.probes) >= 3
+    assert len(cold.attribution) == len(cold.probes)
+
+    def simulated(*args, **kwargs):
+        raise AssertionError("a warm search must not build a network")
+
+    monkeypatch.setattr(experiment_module, "build_network", simulated)
     warm_ledger = RunLedger(store)
-    warm = find_saturation(
-        FR6, preset=TINY, mesh=Mesh2D(4, 4),
-        low=0.3, high=0.9, resolution=0.1, ledger=warm_ledger,
-    )
+    warm = find_saturation(FR6, ledger=warm_ledger, **search)
     assert warm_ledger.recorded == 0  # the whole bisection replayed
     assert warm_ledger.hits == len(warm.probes)
-    assert warm.knee == cold.knee
-    assert warm.probes == cold.probes
+    assert warm == cold  # probes, knee, plateau and every attribution summary

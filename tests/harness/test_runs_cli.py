@@ -20,15 +20,21 @@ from repro.harness.runner import main
 
 LOADS = "0.2,0.3"
 
-#: One record as the retired benchmark gate wrote them, made with the ledger
-#: of the last tree that had the gate, at a throw-away commit on top of it (so
-#: its git SHA is no checkout's and `gc` always finds it stale).
-LEGACY_BENCH = Path(__file__).parent / "fixtures" / "legacy_bench_record.json"
+#: One record of each retired kind -- `bench` as the benchmark gate wrote
+#: them, `throughput` as `measure_throughput` did before a probe became an
+#: experiment -- each made with the ledger of the last tree that wrote the
+#: kind, at a throw-away commit on top of it (so its git SHA is no checkout's
+#: and `gc` always finds it stale), with a one-digit edit that must break it.
+LEGACY = {
+    "bench": ('"cycles": 1844', '"cycles": 1845'),
+    "throughput": ("0.29733333333333334", "0.29743333333333334"),
+}
 
 
-def _plant_legacy_bench(store: Path) -> Path:
-    legacy = store / f"{json.loads(LEGACY_BENCH.read_text())['identity_hash']}.json"
-    shutil.copy(LEGACY_BENCH, legacy)
+def _plant_legacy(store: Path, kind: str = "bench") -> Path:
+    fixture = Path(__file__).parent / "fixtures" / f"legacy_{kind}_record.json"
+    legacy = store / f"{json.loads(fixture.read_text())['identity_hash']}.json"
+    shutil.copy(fixture, legacy)
     return legacy
 
 
@@ -100,42 +106,39 @@ def test_runs_list_show_diff(store, capsys):
     assert "mean_latency" in diff and "delta" in diff
 
 
-def test_runs_list_kind_filter(store, capsys):
-    # A store an older checkout filled also holds `kind: bench` records (no
-    # command writes one any more).  They must degrade loudly, never crash:
-    # listed with hash and kind, hash-verified like any record, and evicted
-    # as stale by `gc`, which leaves the store as the next test expects it.
-    legacy = _plant_legacy_bench(store)
+@pytest.mark.parametrize("kind", sorted(LEGACY))
+def test_records_of_retired_kinds_degrade_loudly(store, capsys, kind):
+    # A store an older checkout filled also holds `kind: bench` and
+    # `kind: throughput` records (no command writes either any more).  They
+    # must degrade loudly, never crash: listed with hash and kind,
+    # hash-verified like any record, and evicted as stale by `gc`, which
+    # leaves the store as the next test expects it.
+    legacy = _plant_legacy(store, kind)
 
     assert main(["runs", "list", "--store", str(store)]) == 0
-    unfiltered = capsys.readouterr().out.splitlines()
-    assert [line.split()[:2] for line in unfiltered if "bench" in line] == [
-        [legacy.stem[:12], "bench"]
+    listing = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in listing if kind in line] == [
+        [legacy.stem[:12], kind]
     ]
-    assert sum("experiment" in line for line in unfiltered) == 2
+    assert sum("experiment" in line for line in listing) == 2
 
-    assert main(["runs", "list", "--store", str(store), "--kind", "experiment"]) == 0
-    experiments = capsys.readouterr().out.splitlines()
-    assert len(experiments) == 2
-    assert all("experiment" in line for line in experiments)
-
-    assert main(["runs", "list", "--store", str(store), "--kind", "throughput"]) == 0
-    assert "no throughput records" in capsys.readouterr().out
-
-    with pytest.raises(SystemExit, match="list"):
-        main(["runs", "gc", "--store", str(store), "--kind", "experiment"])
-    with pytest.raises(SystemExit):  # argparse: invalid choice
-        main(["runs", "list", "--store", str(store), "--kind", "bench"])
-    capsys.readouterr()
-
-    legacy.write_text(legacy.read_text().replace('"cycles": 1844', '"cycles": 1845', 1))
+    legacy.write_text(legacy.read_text().replace(*LEGACY[kind], 1))
     assert main(["runs", "list", "--store", str(store)]) == 0
     assert f"{legacy.stem[:12]}  CORRUPT" in capsys.readouterr().out
-    _plant_legacy_bench(store)
+    _plant_legacy(store, kind)
 
     assert main(["runs", "gc", "--store", str(store)]) == 0
     assert "kept 2, evicted 1" in capsys.readouterr().out
     assert not legacy.exists()
+
+
+def test_the_retired_kind_filter_is_refused(store, capsys):
+    # One record kind is left, so there is nothing to filter by.
+    for action in ("list", "gc"):
+        with pytest.raises(SystemExit) as refused:
+            main(["runs", action, "--store", str(store), "--kind", "experiment"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --kind" in capsys.readouterr().err
 
 
 def test_runs_list_survives_a_reader_that_leaves(store, tmp_path):
@@ -143,7 +146,7 @@ def test_runs_list_survives_a_reader_that_leaves(store, tmp_path):
     # record; the lines after the first go to a closed pipe.
     crowded = tmp_path / "runs"
     shutil.copytree(store, crowded)
-    _plant_legacy_bench(crowded)  # three records, three lines
+    _plant_legacy(crowded)  # three records, three lines
     command = [sys.executable, "-m", "repro.harness.runner", "runs", "list", "--store", str(crowded)]
     env = {**os.environ, "PYTHONUNBUFFERED": "1"}  # one write per line
 

@@ -1,6 +1,7 @@
 """Tests for frfc-lint: each rule fires on its hazard and respects suppression."""
 
 import importlib.util
+import re
 import textwrap
 from pathlib import Path
 
@@ -406,201 +407,6 @@ class TestD006ForeignPrivateState:
         assert findings == []
 
 
-class TestD007PhaseRaces:
-    RACY = """
-    class RacyRouter:
-        __slots__ = ("node", "board")
-
-        def __init__(self, node, board):
-            self.node = node
-            self.board = board
-
-        def phase(self, cycle):
-            self.board[self.node] = cycle
-
-    class RacyNetwork:
-        def __init__(self, n):
-            board = {}
-            self.routers = [RacyRouter(k, board) for k in range(n)]
-
-        def step(self, cycle):
-            for router in self.routers:
-                router.phase(cycle)
-    """
-
-    def test_shared_write_in_phase_loop_flagged(self):
-        findings = lint(self.RACY)
-        assert rule_ids(findings) == ["D007"]
-        assert "board" in findings[0].message
-
-    def test_finding_names_the_phase(self):
-        findings = lint(self.RACY)
-        assert "phase" in findings[0].message
-
-    def test_owned_state_clean(self):
-        findings = lint(
-            """
-            class Router:
-                __slots__ = ("node", "queue")
-
-                def __init__(self, node):
-                    self.node = node
-                    self.queue = []
-
-                def phase(self, cycle):
-                    self.queue.append(cycle)
-
-            class Network:
-                def __init__(self, n):
-                    self.routers = [Router(k) for k in range(n)]
-
-                def step(self, cycle):
-                    for router in self.routers:
-                        router.phase(cycle)
-            """
-        )
-        assert findings == []
-
-    def test_model_with_imported_actor_classes_skipped(self):
-        """Single-file mode only judges models it can fully resolve; the
-        whole-model `frfc_analyze races` pass covers the rest."""
-        findings = lint(
-            """
-            from elsewhere import Router
-
-            class Network:
-                def __init__(self, n):
-                    self.routers = [Router(k) for k in range(n)]
-
-                def step(self, cycle):
-                    for router in self.routers:
-                        router.phase(cycle)
-            """
-        )
-        assert findings == []
-
-
-class TestD009HotPathAllocation:
-    DIRTY = """
-    class Router:
-        __slots__ = ("node", "queue")
-
-        def __init__(self, node):
-            self.node = node
-            self.queue = []
-
-        def phase(self, cycle):
-            for _ in range(4):
-                picks = [q for q in self.queue if q > cycle]
-                self.queue.extend(picks)
-
-    class Network:
-        def __init__(self, n):
-            self.routers = [Router(k) for k in range(n)]
-
-        def step(self, cycle):
-            for router in self.routers:
-                router.phase(cycle)
-    """
-
-    def test_comprehension_in_hot_loop_flagged(self):
-        findings = lint(self.DIRTY)
-        assert rule_ids(findings) == ["D009"]
-        assert "comprehension" in findings[0].message
-        assert "Router.phase" in findings[0].message
-        assert "[in loop]" in findings[0].message
-
-    def test_suppressible(self):
-        source = self.DIRTY.replace(
-            "picks = [q for q in self.queue if q > cycle]",
-            "picks = [q for q in self.queue if q > cycle]"
-            "  # frfc-lint: disable=D009",
-        )
-        assert lint(source) == []
-
-    def test_allocation_off_the_hot_path_not_flagged(self):
-        findings = lint(
-            """
-            class Router:
-                __slots__ = ("node", "queue")
-
-                def __init__(self, node):
-                    self.node = node
-                    self.queue = [0 for _ in range(8)]
-
-                def phase(self, cycle):
-                    self.queue[0] = cycle
-
-            class Network:
-                def __init__(self, n):
-                    self.routers = [Router(k) for k in range(n)]
-
-                def step(self, cycle):
-                    for router in self.routers:
-                        router.phase(cycle)
-            """
-        )
-        assert findings == []
-
-
-class TestD010HotPathSlots:
-    SLOTLESS = """
-    class Router:
-        def __init__(self, node):
-            self.node = node
-
-        def phase(self, cycle):
-            self.node = cycle
-
-    class Network:
-        def __init__(self, n):
-            self.routers = [Router(k) for k in range(n)]
-
-        def step(self, cycle):
-            for router in self.routers:
-                router.phase(cycle)
-    """
-
-    def test_slotless_hot_class_flagged(self):
-        findings = lint(self.SLOTLESS)
-        assert rule_ids(findings) == ["D010"]
-        assert "Router" in findings[0].message
-        assert "__slots__" in findings[0].message
-
-    def test_finding_points_at_the_class(self):
-        findings = lint(self.SLOTLESS)
-        assert findings[0].line == 2  # the `class Router:` line
-
-    def test_suppressible(self):
-        source = self.SLOTLESS.replace(
-            "class Router:", "class Router:  # frfc-lint: disable=D010"
-        )
-        assert lint(source) == []
-
-    def test_slotted_model_clean(self):
-        findings = lint(
-            """
-            class Router:
-                __slots__ = ("node",)
-
-                def __init__(self, node):
-                    self.node = node
-
-                def phase(self, cycle):
-                    self.node = cycle
-
-            class Network:
-                def __init__(self, n):
-                    self.routers = [Router(k) for k in range(n)]
-
-                def step(self, cycle):
-                    for router in self.routers:
-                        router.phase(cycle)
-            """
-        )
-        assert findings == []
-
-
 class TestD008NoPrintInSimulator:
     def test_print_in_simulator_module_flagged(self):
         findings = lint("print('router state')\n", path="src/repro/core/router.py")
@@ -767,16 +573,26 @@ class TestEngine:
             "D004",
             "D005",
             "D006",
-            "D007",
             "D008",
-            "D009",
-            "D010",
             "D011",
             "D012",
             "D013",
             "D014",
         ]
         assert all(rule.summary for rule in ALL_RULES)
+
+    def test_documented_catalogue_is_the_rules(self):
+        """One catalogue, in docs/static-analysis.md, row for row ALL_RULES;
+        the other two places a rule id is written name no rule that is not."""
+        ids = [rule.rule_id for rule in ALL_RULES]
+        catalogue = (REPO / "docs" / "static-analysis.md").read_text(encoding="utf-8")
+        assert re.findall(r"^\| (D\d{3}) \|", catalogue, re.M) == ids
+        invariants = (REPO / "docs" / "invariants.md").read_text(encoding="utf-8")
+        assert not re.search(r"^\| D\d{3} \|", invariants, re.M)  # points there instead
+        rules_source = (REPO / "src" / "repro" / "lint" / "rules.py").read_text(encoding="utf-8")
+        retired = {"D007", "D009", "D010"}
+        for text in (catalogue, invariants, rules_source):
+            assert set(re.findall(r"\bD\d{3}\b", text)) <= set(ids) | retired
 
     def test_disable_next_line(self):
         findings = lint(
@@ -885,9 +701,10 @@ class TestCommandLine:
             "D004",
             "D005",
             "D006",
-            "D007",
             "D008",
-            "D009",
-            "D010",
+            "D014",
         ):
             assert rule_id in out
+        # Retired: they analysed no class of the tree they gated; the
+        # whole-model `frfc_analyze races` / `hotpath` passes are the gate.
+        assert not {"D007", "D009", "D010"} & set(out.split())

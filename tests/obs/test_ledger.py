@@ -27,7 +27,8 @@ from repro.analysis.phases import SourceResolver
 from repro.core.config import FR6, FR13
 from repro.baselines.vc.config import VC8
 from repro.harness.experiment import ExperimentResult
-from repro.harness.presets import get_preset
+from repro.harness.presets import MeasurementPreset, get_preset
+from repro.harness.saturation import measure_throughput
 from repro.obs.ledger import (
     LedgerCorruptionError,
     LedgerError,
@@ -249,22 +250,27 @@ def test_resolve_prefix(ledger):
         ledger.resolve("")  # every record matches the empty prefix
 
 
-def test_throughput_round_trip(ledger):
-    identity = ledger.throughput_identity(
-        config=FR6,
-        offered_load=0.5,
-        packet_length=5,
-        seed=1,
-        preset=get_preset("quick"),
-        mesh=Mesh2D(4, 4),
-        check_invariants=False,
-        network_kwargs={},
+def test_probe_round_trips_through_the_experiment_record(ledger):
+    """A throughput probe has no record kind of its own: it is stored, and
+    replayed, as the experiment it is (the one simulation in this file: 280
+    cycles of a 4x4 mesh)."""
+    tiny = MeasurementPreset(
+        name="tiny", min_warmup=80, warmup_window=40, max_warmup=200,
+        sample_cycles=150, drain_cycles=1500, throughput_cycles=200,
     )
-    assert identity["kind"] == "throughput"
-    ledger.record_throughput(identity, 0.4987)
-    record = ledger.lookup(identity)
-    assert record is not None
-    assert ledger.replay_throughput(record) == 0.4987
+    cold = measure_throughput(FR6, 0.3, preset=tiny, mesh=Mesh2D(4, 4), ledger=ledger)
+    assert (ledger.hits, ledger.recorded) == (0, 1)
+    record = ledger.last_record
+    assert record is not None and record["kind"] == "experiment"
+    preset = record["identity"]["preset"]
+    assert preset["name"] == "tiny/probe"
+    assert (preset["sample_cycles"], preset["drain_cycles"]) == (200, 0)
+    assert RunLedger.replay_experiment(record).accepted_load == cold
+    assert record["result"]["cycles_simulated"] == record["result"]["warmup_cycles"] + 200
+    assert "preset=tiny/probe" in describe_record(record)
+    warm = measure_throughput(FR6, 0.3, preset=tiny, mesh=Mesh2D(4, 4), ledger=ledger)
+    assert warm == cold
+    assert (ledger.hits, ledger.recorded) == (1, 1)
 
 
 def test_describe_and_diff_render(ledger):
@@ -315,21 +321,26 @@ class _ParsingResolver(SourceResolver):
         return ledger_module._module_source(module)
 
 
+def _members(model: str, resolver: SourceResolver) -> set[str]:
+    """What ``code_digest(model)`` covers, walked without the memo."""
+    stop = frozenset(
+        module
+        for kind, modules in MODEL_MODULES.items()
+        if kind != model
+        for module in modules
+    )
+    members: set[str] = set()
+    for root in ("repro.harness.experiment", *MODEL_MODULES[model]):
+        members.update(import_closure(root, resolver, stop=stop))
+    return members
+
+
 def _unmemoised_digests() -> dict[str, str]:
     resolver = _ParsingResolver()
     digests = {}
     for model in MODELS:
-        stop = frozenset(
-            module
-            for kind, modules in MODEL_MODULES.items()
-            if kind != model
-            for module in modules
-        )
-        members: set[str] = set()
-        for root in ("repro.harness.experiment", *MODEL_MODULES[model]):
-            members.update(import_closure(root, resolver, stop=stop))
         digest = hashlib.sha256()
-        for module in sorted(members):
+        for module in sorted(_members(model, resolver)):
             source = ledger_module._module_source(module)
             digest.update(module.encode() + b"\x00" + hashlib.sha256(source).digest() + b"\x00")
         digests[model] = digest.hexdigest()
@@ -348,6 +359,33 @@ def _memo(store):
 def _memo_verifies(store) -> bool:
     payload = json.loads(_memo(store).read_text())
     return payload["digest"] == content_digest(payload["modules"])
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_digest_covers_every_member_and_every_package_init_above_it(tmp_path, model):
+    """No file that executes when the model is imported can change without
+    the digest changing: every closure member, and the ``__init__.py`` of
+    every package above one (importing ``repro.core.network`` runs
+    ``repro/__init__.py`` and ``repro/core/__init__.py`` first).  A module
+    the model cannot reach changes nothing."""
+    store = tmp_path / "runs"
+    members = _members(model, _ParsingResolver())
+    packages = {
+        module.rsplit(".", depth)[0] for module in members for depth in range(1, module.count(".") + 1)
+    }
+    assert {"repro", "repro.harness", "repro.sim", "repro.stats"} <= packages <= members
+    outside = {"repro.harness.sweep", "repro.obs.ledger", "repro.lint.rules"}
+    assert not outside & members
+    def digest() -> str:
+        return RunLedger(store).code_digest(model)  # digests cache per instance
+
+    with _edited_tree() as edits:
+        before = digest()
+        for module in sorted(members | outside):
+            edits[module] = ledger_module._module_source(module) + b"\n# edited\n"
+            assert (digest() != before) == (module in members), module
+            del edits[module]
+        assert digest() == before
 
 
 def test_digest_follows_an_import_the_edit_added(tmp_path):

@@ -30,7 +30,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="frfc-lint",
-        description="Simulator-specific static analysis (rules D001-D013).",
+        description="Simulator-specific static analysis (--list-rules prints the catalogue).",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(
