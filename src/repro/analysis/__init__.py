@@ -19,10 +19,6 @@ per-file lint pass in :mod:`repro.lint` and the runtime
 * :mod:`repro.analysis.permute` -- runtime order-permutation differ: the
   dynamic counterpart, re-running a seeded workload under shuffled router
   evaluation orders and requiring bit-identical results.
-* :mod:`repro.analysis.hotpath` -- static hot-path performance analyzer:
-  inventories the allocation/churn constructs inside each model's
-  per-cycle call tree and gates the committed ``frfc-hotpath/1``
-  allocation budget (with a ``tracemalloc`` runtime cross-check).
 * :mod:`repro.analysis.isolation` -- whole-program determinism & isolation
   prover: certifies each ``run_experiment``/``run_load_sweep`` entry point
   a pure function of (config, seed, load) -- shared-mutable-state

@@ -7,7 +7,7 @@ run.  That is only sound if every sweep point is a pure function of
 ambient randomness, no iteration order that depends on hashes or object
 identity.  This module proves that property statically, in the same
 "analyze the whole reachable tree, emit a checkable certificate, gate CI"
-shape as the cdg deadlock prover and the hotpath allocation budget:
+shape as the cdg deadlock prover:
 
 1. **Reachability** -- starting from an entry point (``run_experiment`` per
    model, ``run_load_sweep``), compute the import closure of ``repro.*``
@@ -1104,7 +1104,7 @@ class IsolationVerifyReport:
 
 
 def _verify_config(label: str) -> Any:
-    # Local imports keep module import light; mirrors hotpath's verify setup.
+    # Local imports keep module import light.
     if label == "FR":
         from repro.core.config import FR6
 

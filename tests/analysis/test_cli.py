@@ -53,53 +53,16 @@ class TestRacesCommand:
         with pytest.raises(SystemExit):
             cli.main(["races", "--model", "no-colon-here"])
 
+    @pytest.mark.parametrize("spec", ["repro.core.network:Nope", "repro.nope:X"])
+    def test_unresolvable_model_reported_not_raised(self, cli, spec):
+        with pytest.raises(SystemExit, match="^frfc-analyze: cannot resolve class"):
+            cli.main(["races", "--model", spec])
+
 
 class TestPermuteCommand:
     def test_bit_identical_exit_zero(self, cli, capsys):
         assert cli.main(["permute", "--orders", "3", "--cycles", "120"]) == 0
         assert "bit-identical" in capsys.readouterr().out
-
-
-class TestHotpathCommand:
-    def test_reports_all_three_models(self, cli, capsys):
-        assert cli.main(["hotpath"]) == 0
-        out = capsys.readouterr().out
-        for label in ("FR", "VC", "WH"):
-            assert f"hot path of {label}" in out
-
-    def test_json_emits_budget_document(self, cli, capsys):
-        import json
-
-        assert cli.main(["hotpath", "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == "frfc-hotpath/1"
-        assert set(document["models"]) == {"FR", "VC", "WH"}
-
-    def test_committed_budget_gate_green(self, cli, capsys):
-        baseline = REPO / "benchmarks" / "results" / "HOTPATH_baseline.json"
-        assert baseline.exists(), "HOTPATH_baseline.json must be committed"
-        assert cli.main(["hotpath", "--check-budget", str(baseline)]) == 0
-        assert "budget OK" in capsys.readouterr().out
-
-    def test_write_then_check_roundtrip(self, cli, capsys, tmp_path):
-        budget = tmp_path / "budget.json"
-        assert cli.main(["hotpath", "--write-budget", str(budget)]) == 0
-        assert budget.exists()
-        assert cli.main(["hotpath", "--check-budget", str(budget)]) == 0
-
-    def test_missing_budget_exit_one(self, cli, capsys, tmp_path):
-        missing = tmp_path / "nope.json"
-        assert cli.main(["hotpath", "--check-budget", str(missing)]) == 1
-
-    def test_single_model_spec(self, cli, capsys):
-        assert (
-            cli.main(["hotpath", "--model", "repro.core.network:FRNetwork"]) == 0
-        )
-        assert "FRNetwork" in capsys.readouterr().out
-
-    def test_bad_model_spec_rejected(self, cli):
-        with pytest.raises(SystemExit):
-            cli.main(["hotpath", "--model", "no-colon-here"])
 
 
 class TestIsolationCommand:
@@ -174,3 +137,7 @@ class TestIsolationCommand:
         assert cli.main(["isolation", "--verify", "--cycles", "240"]) == 0
         out = capsys.readouterr().out
         assert out.count("identical") == 3
+
+    def test_verify_empty_window_reported_not_raised(self, cli):
+        with pytest.raises(SystemExit, match=r"^frfc-analyze: empty measurement window"):
+            cli.main(["isolation", "--verify", "--cycles", "0"])

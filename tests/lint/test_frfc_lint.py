@@ -706,5 +706,6 @@ class TestCommandLine:
         ):
             assert rule_id in out
         # Retired: they analysed no class of the tree they gated; the
-        # whole-model `frfc_analyze races` / `hotpath` passes are the gate.
+        # whole-model `frfc_analyze races` pass and the executed-opcode
+        # witness in tests/properties/test_allocation_witness.py are the gate.
         assert not {"D007", "D009", "D010"} & set(out.split())

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Command-line front end for the whole-model analyzers in repro.analysis.
 
-Five subcommands, each a CI gate (exit 0 = property holds):
+Four subcommands, each a CI gate (exit 0 = property holds):
 
 ``cdg``
     Channel-dependency-graph deadlock prover.  With no arguments it runs
@@ -20,14 +20,6 @@ Five subcommands, each a CI gate (exit 0 = property holds):
     Runtime order-permutation differ: re-runs one seeded workload under
     shuffled router evaluation orders and demands bit-identical results.
 
-``hotpath``
-    Static hot-path performance analyzer: inventories the allocation and
-    churn constructs inside each model's per-cycle call tree.  With
-    ``--check-budget`` it gates fresh counts against the committed
-    ``frfc-hotpath/1`` budget; ``--write-budget`` re-records it;
-    ``--verify`` cross-checks the static hot set against ``tracemalloc``
-    on a short seeded quick point.
-
 ``isolation``
     Whole-program determinism & isolation prover: certifies each
     ``run_experiment``/``run_load_sweep`` entry point a pure function of
@@ -45,10 +37,6 @@ Usage::
     python tools/frfc_analyze.py cdg --routing yx-mixed --mesh 4x4
     python tools/frfc_analyze.py races --verbose
     python tools/frfc_analyze.py permute --orders 5 --cycles 400
-    python tools/frfc_analyze.py hotpath --verbose
-    python tools/frfc_analyze.py hotpath --check-budget \\
-        benchmarks/results/HOTPATH_baseline.json
-    python tools/frfc_analyze.py hotpath --verify
     python tools/frfc_analyze.py isolation
     python tools/frfc_analyze.py isolation --check-budget \\
         benchmarks/results/ISOLATION_baseline.json --fail-on-new
@@ -133,7 +121,7 @@ def _cmd_cdg(args: argparse.Namespace) -> int:
 
 
 def _cmd_races(args: argparse.Namespace) -> int:
-    from repro.analysis.phases import analyze_known_networks, analyze_model
+    from repro.analysis.phases import AnalysisError, analyze_known_networks, analyze_model
 
     if args.model is not None:
         try:
@@ -143,7 +131,10 @@ def _cmd_races(args: argparse.Namespace) -> int:
                 f"frfc-analyze: bad model spec {args.model!r}; "
                 "expected dotted.module:ClassName"
             ) from None
-        reports = [analyze_model(module, class_name)]
+        try:
+            reports = [analyze_model(module, class_name)]
+        except AnalysisError as error:
+            raise SystemExit(f"frfc-analyze: {error}") from None
     else:
         reports = analyze_known_networks()
     hazards = 0
@@ -173,96 +164,6 @@ def _cmd_permute(args: argparse.Namespace) -> int:
         raise SystemExit(f"frfc-analyze: {error}") from None
     print(report.format())
     return 0 if report.identical else 1
-
-
-def _cmd_hotpath(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis.hotpath import (
-        analyze_hot_model,
-        analyze_hot_networks,
-        build_budget,
-        check_budget,
-        verify_allocations,
-    )
-
-    if args.model is not None:
-        try:
-            module, class_name = args.model.rsplit(":", 1)
-        except ValueError:
-            raise SystemExit(
-                f"frfc-analyze: bad model spec {args.model!r}; "
-                "expected dotted.module:ClassName"
-            ) from None
-        reports = [analyze_hot_model(module, class_name)]
-    else:
-        reports = analyze_hot_networks()
-
-    if args.json:
-        print(json.dumps(build_budget(reports), indent=2, sort_keys=True))
-    else:
-        for report in reports:
-            print(report.format(verbose=args.verbose))
-            print()
-
-    status = 0
-    if args.write_budget is not None:
-        budget = build_budget(reports)
-        args.write_budget.parent.mkdir(parents=True, exist_ok=True)
-        with open(args.write_budget, "w", encoding="utf-8") as handle:
-            json.dump(budget, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"frfc-analyze: budget written to {args.write_budget}")
-
-    if args.check_budget is not None:
-        if not args.check_budget.exists():
-            print(
-                f"frfc-analyze: no budget at {args.check_budget}; "
-                "record one with --write-budget",
-                file=sys.stderr,
-            )
-            return 1
-        with open(args.check_budget, encoding="utf-8") as handle:
-            budget = json.load(handle)
-        violations, notes = check_budget(
-            reports, budget, fail_on_slack=args.fail_on_slack
-        )
-        for note in notes:
-            print(f"note: {note}")
-        if violations:
-            for violation in violations:
-                print(f"VIOLATION: {violation}", file=sys.stderr)
-            print(
-                f"frfc-analyze: {len(violations)} hot-path budget violation(s); "
-                "fix the regression or deliberately re-record with --write-budget",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print("frfc-analyze: hot-path allocation budget OK")
-
-    if args.verify:
-        from repro.analysis.phases import AnalysisError
-
-        for report in reports:
-            try:
-                verdict = verify_allocations(
-                    report, threshold=args.verify_threshold
-                )
-            except (AnalysisError, ValueError) as error:
-                print(f"frfc-analyze: {error}", file=sys.stderr)
-                status = 1
-                continue
-            print(verdict.format())
-            if not verdict.passed:
-                status = 1
-        if status:
-            print(
-                "frfc-analyze: tracemalloc cross-check FAILED -- the static "
-                "hot set does not account for observed allocations",
-                file=sys.stderr,
-            )
-    return status
 
 
 def _cmd_isolation(args: argparse.Namespace) -> int:
@@ -348,10 +249,14 @@ def _cmd_isolation(args: argparse.Namespace) -> int:
         status = 1
 
     if args.verify:
+        try:
+            verdicts = verify_isolation(
+                offered_load=args.load, seed=args.seed, cycles=args.cycles
+            )
+        except ValueError as error:
+            raise SystemExit(f"frfc-analyze: {error}") from None
         divergent = 0
-        for verdict in verify_isolation(
-            offered_load=args.load, seed=args.seed, cycles=args.cycles
-        ):
+        for verdict in verdicts:
             print(verdict.render())
             if not verdict.identical:
                 divergent += 1
@@ -409,56 +314,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also run the InvariantChecker during each permuted run",
     )
     permute.set_defaults(func=_cmd_permute)
-
-    hotpath = subparsers.add_parser(
-        "hotpath", help="static hot-path allocation/churn analyzer"
-    )
-    hotpath.add_argument(
-        "--model",
-        default=None,
-        help="analyze one model as dotted.module:ClassName "
-        "(default: FR, VC, and wormhole)",
-    )
-    hotpath.add_argument(
-        "--json", action="store_true", help="emit the frfc-hotpath/1 document"
-    )
-    hotpath.add_argument(
-        "--verbose", action="store_true", help="print every finding, not counts"
-    )
-    hotpath.add_argument(
-        "--write-budget",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="record the current counts as the allocation budget",
-    )
-    hotpath.add_argument(
-        "--check-budget",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="fail when fresh counts exceed the recorded budget",
-    )
-    hotpath.add_argument(
-        "--fail-on-slack",
-        action="store_true",
-        help="with --check-budget, also fail when the committed budget is "
-        "looser than what the analyzer measures (forces re-recording wins)",
-    )
-    hotpath.add_argument(
-        "--verify",
-        action="store_true",
-        help="cross-check the static hot set against tracemalloc on a "
-        "short seeded 4x4 quick point",
-    )
-    hotpath.add_argument(
-        "--verify-threshold",
-        type=float,
-        default=0.95,
-        help="minimum fraction of allocation events the hot set must "
-        "account for (default 0.95)",
-    )
-    hotpath.set_defaults(func=_cmd_hotpath)
 
     isolation = subparsers.add_parser(
         "isolation", help="whole-program determinism & isolation prover"
