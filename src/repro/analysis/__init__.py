@@ -1,4 +1,4 @@
-"""Whole-model static analysis: deadlock proofs, race detection, differs.
+"""Whole-model analysis: deadlock proofs, isolation proofs, order differs.
 
 This subpackage reasons about the simulator *as a model*, complementing the
 per-file lint pass in :mod:`repro.lint` and the runtime
@@ -12,13 +12,10 @@ per-file lint pass in :mod:`repro.lint` and the runtime
   certificate) or exhibits the exact offending channel cycle.
 * :mod:`repro.analysis.broken_routing` -- deliberately deadlock-prone
   routing fixtures the prover must catch.
-* :mod:`repro.analysis.phases` -- cycle-phase race detector: proves the
-  per-phase actor loops in every network's ``step()`` are
-  order-independent, i.e. all same-cycle cross-node coupling flows through
-  a ``Link`` pipeline stage.
 * :mod:`repro.analysis.permute` -- runtime order-permutation differ: the
-  dynamic counterpart, re-running a seeded workload under shuffled router
-  evaluation orders and requiring bit-identical results.
+  phase-order independence gate, re-running a seeded workload per model
+  under the natural, reversed and shuffled router evaluation orders and
+  requiring bit-identical results.
 * :mod:`repro.analysis.isolation` -- whole-program determinism & isolation
   prover: certifies each ``run_experiment``/``run_load_sweep`` entry point
   a pure function of (config, seed, load) -- shared-mutable-state

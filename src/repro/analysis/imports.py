@@ -5,9 +5,8 @@ ledger hashes a model's import closure into its code digest
 (:meth:`repro.obs.ledger.RunLedger.code_digest`), and the isolation prover
 scans the same closure.  It imports nothing from ``repro``, so a ledgered
 sweep loads this module and none of the provers.
-:mod:`repro.analysis.phases` and :mod:`repro.analysis.isolation` import
-these names, so they also resolve there (``bench/trace.py`` wraps
-``repro.analysis.isolation.import_closure``).
+:mod:`repro.analysis.isolation` imports these names, so they also resolve
+there (``bench/trace.py`` wraps ``repro.analysis.isolation.import_closure``).
 """
 
 from __future__ import annotations

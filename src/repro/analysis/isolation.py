@@ -76,8 +76,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.analysis.imports import MODEL_MODULES, import_closure
-from repro.analysis.phases import MUTATOR_METHODS, SingleModuleResolver, SourceResolver
+from repro.analysis.imports import (
+    MODEL_MODULES,
+    RawImport,
+    import_closure,
+    module_origin,
+    raw_imports,
+)
 
 CERT_SCHEMA = "frfc-isolation/1"
 
@@ -109,6 +114,15 @@ CATEGORIES = (
 #: Constructors whose result is a shared mutable container.
 MUTABLE_FACTORIES = frozenset(
     {"list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter", "OrderedDict"}
+)
+
+#: Method names assumed to mutate their receiver.
+MUTATOR_METHODS = frozenset(
+    {
+        "append", "appendleft", "add", "insert", "extend", "extendleft",
+        "remove", "discard", "pop", "popleft", "popitem", "clear", "update",
+        "setdefault", "sort", "reverse", "write",
+    }
 )
 
 #: Methods that *draw* from a generator (DeterministicRng's API plus the
@@ -212,6 +226,103 @@ class EntryPointReport:
 # ---------------------------------------------------------------------------
 # Module resolution and import closure
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class ClassInfo:
+    """One class's AST plus enough context to resolve its bases."""
+
+    name: str
+    module: str
+    node: ast.ClassDef
+    resolver: "SourceResolver"
+
+    def mro(self) -> list["ClassInfo"]:
+        """This class followed by its resolvable base classes, in order."""
+        chain: list[ClassInfo] = [self]
+        seen = {(self.module, self.name)}
+        frontier = [self]
+        while frontier:
+            current = frontier.pop(0)
+            for base in current.node.bases:
+                if not isinstance(base, ast.Name):
+                    continue
+                resolved = current.resolver.resolve_class(base.id, current.module)
+                if resolved is None or (resolved.module, resolved.name) in seen:
+                    continue
+                seen.add((resolved.module, resolved.name))
+                chain.append(resolved)
+                frontier.append(resolved)
+        return chain
+
+
+class SourceResolver:
+    """Loads and caches module ASTs by dotted name, without executing them.
+
+    :meth:`module_source` is the one place a module's bytes are read, so
+    whatever is parsed, walked for imports or reported with an origin is the
+    same content.
+    """
+
+    def __init__(self) -> None:
+        self._modules: dict[str, ast.Module | None] = {}
+        self._imports: dict[str, list[RawImport] | None] = {}
+        #: module -> the file it was read from.
+        self.origins: dict[str, str] = {}
+
+    def module_source(self, module: str) -> bytes | None:
+        origin = module_origin(module)
+        if origin is None:
+            return None
+        self.origins[module] = origin
+        return Path(origin).read_bytes()
+
+    def module_ast(self, module: str) -> ast.Module | None:
+        if module not in self._modules:
+            source = self.module_source(module)
+            self._modules[module] = (
+                None
+                if source is None
+                else ast.parse(source, filename=self.origins.get(module, module))
+            )
+        return self._modules[module]
+
+    def module_imports(self, module: str) -> list[RawImport] | None:
+        if module not in self._imports:
+            tree = self.module_ast(module)
+            self._imports[module] = None if tree is None else raw_imports(tree)
+        return self._imports[module]
+
+    def resolve_class(self, name: str, module: str) -> ClassInfo | None:
+        """Find class ``name`` in ``module`` or through its imports."""
+        tree = self.module_ast(module)
+        if tree is None:
+            return None
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef) and stmt.name == name:
+                return ClassInfo(name=name, module=module, node=stmt, resolver=self)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module:
+                for alias in stmt.names:
+                    if (alias.asname or alias.name) == name:
+                        return self.resolve_class(alias.name, stmt.module)
+        return None
+
+
+class SingleModuleResolver(SourceResolver):
+    """Resolution restricted to one already-parsed module.
+
+    Imports are deliberately not followed: the per-file lint projection can
+    only see base classes defined in the same file; the whole-program
+    ``frfc-analyze isolation`` pass does the cross-module job.
+    """
+
+    def __init__(self, module: str, tree: ast.Module) -> None:
+        super().__init__()
+        self._modules[module] = tree
+
+    def module_source(self, module: str) -> bytes | None:
+        return None
 
 
 def _rel_path(origin: str) -> str:
@@ -1171,6 +1282,7 @@ __all__ = [
     "IsolationFinding",
     "IsolationVerifyReport",
     "ModuleScan",
+    "SourceResolver",
     "analyze_entry_points",
     "analyze_module_isolation_ast",
     "analyze_module_isolation_source",

@@ -1,15 +1,15 @@
-"""Runtime order-permutation differ: the dynamic half of the race proof.
+"""Runtime order-permutation differ: the phase-order independence gate.
 
-The cycle-phase race detector (:mod:`repro.analysis.phases`) proves
-*statically* that the per-phase actor loops in ``step()`` are
-order-independent -- except for the hook escapes it deliberately leaves to
-runtime: network-level aggregation (latency sample appends, throughput
-counters) reached through ``Callable`` attributes.  This module closes the
-loop empirically.  Every :class:`~repro.sim.netbase.NetworkModel` carries
-an ``eval_order`` list that its phase loops iterate; the differ runs the
-same seeded workload several times, shuffling ``eval_order`` into a
-different (seeded, reproducible) permutation each run, and demands the
-end-of-run statistics be **bit-identical** -- not approximately equal.
+Within one phase of ``step()`` the order in which routers and interfaces
+are visited must not change any result: actors may couple only through a
+``Link`` (delay >= 1, so an effect lands next cycle) or through state they
+own.  This module checks that property by running the model.  Every
+:class:`~repro.sim.netbase.NetworkModel` carries an ``eval_order`` list
+that its phase loops iterate; the differ runs the same seeded workload
+under the natural order, its reversal and seeded shuffles, and demands
+the end-of-run statistics be **bit-identical** -- not approximately equal.
+The reversal visits every pair of nodes in both relative orders, so a
+same-cycle coupling between any two actors shows up within two runs.
 
 Bit-identity is achievable because every aggregated quantity is either an
 integer counter or a multiset of integer latencies: the digest compares
@@ -30,7 +30,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.core.config import FRConfig
+from repro.baselines.vc.config import VC8
+from repro.baselines.wormhole.network import WormholeConfig
+from repro.core.config import FR6, FRConfig
 from repro.core.network import FRNetwork
 from repro.harness.experiment import AnyConfig, build_network
 from repro.sim.invariants import InvariantChecker
@@ -38,6 +40,14 @@ from repro.sim.kernel import Simulator
 from repro.sim.netbase import NetworkModel
 from repro.sim.rng import DeterministicRng
 from repro.topology.mesh import Mesh2D
+
+#: One model per flow-control scheme: what ``frfc-analyze permute`` and
+#: ``frfc --analyze`` check.
+SHIPPED_CONFIGS: tuple[AnyConfig, ...] = (
+    FR6,
+    VC8,
+    WormholeConfig(buffers_per_input=8),
+)
 
 
 @dataclass(frozen=True)
@@ -198,10 +208,10 @@ def run_permutation_diff(
 ) -> PermutationReport:
     """Run one seeded workload under ``orders`` evaluation orders and diff.
 
-    The first order is the natural node order (the shipped default); each
-    further order is a seeded shuffle.  Returns a report whose
-    ``identical`` property is the verdict; mismatches name the run and the
-    exact fields that diverged from the baseline.
+    The first order is the natural node order (the shipped default), the
+    second its reversal; each further order is a seeded shuffle.  Returns a
+    report whose ``identical`` property is the verdict; mismatches name the
+    run and the exact fields that diverged from the baseline.
     """
     if orders < 2:
         raise ValueError(f"need at least 2 evaluation orders to diff, got {orders}")
@@ -216,6 +226,8 @@ def run_permutation_diff(
     for index in range(orders):
         if index == 0:
             order, label = natural, "natural"
+        elif index == 1:
+            order, label = natural[::-1], "reversed"
         else:
             order = rng.spawn(index).shuffled(natural)
             label = f"shuffle[{index}]"

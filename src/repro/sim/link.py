@@ -21,7 +21,7 @@ network hands each link a shared flag array and the consumer's index via
 :meth:`set_wake`, and the active-set step loops use those flags to skip
 routers with nothing to do.  The wake write is a commutative, idempotent
 ``flags[i] = 1`` performed inside the pipeline API, so it preserves the
-delay >= 1 order-independence argument the phase-race analyzer relies on:
+delay >= 1 argument that makes phase loops order-independent:
 whether the consumer observes the flag during the send cycle or one cycle
 later, the item is only *deliverable* at ``cycle + delay``, and a consumer
 stays awake while any of its in-links has ``pending`` items.

@@ -67,10 +67,10 @@ class NetworkModel:
             for node in self.mesh.nodes()
         ]
         # The order step() visits routers/interfaces within each phase.  The
-        # phase analysis (repro.analysis.phases) proves the phases are
-        # order-independent, and the order-permutation differ
-        # (repro.analysis.permute) shuffles this list to verify it at
-        # runtime; it must remain a permutation of the mesh nodes.
+        # phases must be order-independent: the order-permutation differ
+        # (repro.analysis.permute) reverses and shuffles this list and
+        # requires bit-identical results; it must remain a permutation of
+        # the mesh nodes.
         self.eval_order = list(self.mesh.nodes())
         self.latency_stats = LatencyStats(streaming=streaming)
         self.throughput = ThroughputCounter(mesh.num_nodes)

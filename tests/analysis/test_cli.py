@@ -39,30 +39,30 @@ class TestCdgCommand:
             cli.main(["cdg", "--mesh", "wide"])
 
 
-class TestRacesCommand:
-    def test_shipped_networks_clean_exit_zero(self, cli, capsys):
-        assert cli.main(["races"]) == 0
-        out = capsys.readouterr().out
-        for label in ("FR", "VC", "WH"):
-            assert label in out
-
-    def test_single_model_spec(self, cli, capsys):
-        assert cli.main(["races", "--model", "repro.core.network:FRNetwork"]) == 0
-
-    def test_bad_model_spec_rejected(self, cli):
-        with pytest.raises(SystemExit):
-            cli.main(["races", "--model", "no-colon-here"])
-
-    @pytest.mark.parametrize("spec", ["repro.core.network:Nope", "repro.nope:X"])
-    def test_unresolvable_model_reported_not_raised(self, cli, spec):
-        with pytest.raises(SystemExit, match="^frfc-analyze: cannot resolve class"):
-            cli.main(["races", "--model", spec])
-
-
 class TestPermuteCommand:
     def test_bit_identical_exit_zero(self, cli, capsys):
         assert cli.main(["permute", "--orders", "3", "--cycles", "120"]) == 0
-        assert "bit-identical" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.count("bit-identical") == 3
+        for name in ("FR6", "VC8", "WH8"):
+            assert f"order-permutation diff: {name}," in out
+
+    def test_order_dependence_exit_one_names_the_model(self, cli, monkeypatch, capsys):
+        from repro.analysis import permute
+
+        run = permute.run_permutation_diff
+
+        def vc_mismatch(config, **kwargs):
+            report = run(config, **kwargs)
+            if config.name == "VC8":
+                report.mismatches.append("reversed differs from natural in: cycles")
+            return report
+
+        monkeypatch.setattr(permute, "run_permutation_diff", vc_mismatch)
+        assert cli.main(["permute", "--orders", "2", "--cycles", "60"]) == 1
+        captured = capsys.readouterr()
+        assert "MISMATCH: reversed differs" in captured.out
+        assert "evaluation order changes results in VC8" in captured.err
 
 
 class TestIsolationCommand:

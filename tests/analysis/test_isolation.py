@@ -14,6 +14,7 @@ from repro.analysis.isolation import (
     VIOLATED,
     IsolationAnalyzer,
     IsolationError,
+    SourceResolver,
     analyze_entry_points,
     analyze_module_isolation_source,
     build_certificate,
@@ -21,7 +22,7 @@ from repro.analysis.isolation import (
     import_closure,
     verify_isolation,
 )
-from repro.analysis.phases import SourceResolver, raw_imports
+from repro.analysis.imports import raw_imports
 
 REPO = Path(__file__).resolve().parents[2]
 BASELINE = REPO / "benchmarks" / "results" / "ISOLATION_baseline.json"

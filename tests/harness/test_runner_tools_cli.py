@@ -42,7 +42,7 @@ class TestUtilizationCommand:
 
 
 class TestAnalyzeGate:
-    """`frfc --analyze` runs the cdg + races + isolation gates up front."""
+    """`frfc --analyze` runs the cdg + permute + isolation gates up front."""
 
     def test_gate_passes_and_names_all_three_proofs(self, capsys):
         assert (
@@ -53,8 +53,26 @@ class TestAnalyzeGate:
         )
         out = capsys.readouterr().out
         assert "deadlock-free" in out
-        assert "race-free" in out
+        assert "order-independent" in out
         assert "isolation-certified" in out
+
+    def test_gate_aborts_on_order_dependence(self, monkeypatch):
+        from repro.analysis import permute
+        from repro.analysis.permute import PermutationReport
+
+        def mismatching(config, **kwargs):
+            return PermutationReport(
+                config_name=config.name,
+                cycles=300,
+                orders=2,
+                mismatches=["reversed differs from natural in: latency_samples"],
+            )
+
+        monkeypatch.setattr(permute, "run_permutation_diff", mismatching)
+        with pytest.raises(SystemExit, match="phases order-dependent"):
+            runner.main(
+                ["--analyze", "trace", "FR6", "--packet", "1", "--cycles", "200"]
+            )
 
     def test_gate_aborts_on_isolation_violation(self, monkeypatch, capsys):
         from repro.analysis import isolation

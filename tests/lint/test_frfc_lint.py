@@ -706,6 +706,7 @@ class TestCommandLine:
         ):
             assert rule_id in out
         # Retired: they analysed no class of the tree they gated; the
-        # whole-model `frfc_analyze races` pass and the executed-opcode
-        # witness in tests/properties/test_allocation_witness.py are the gate.
+        # order-permutation differ (`frfc_analyze permute`) and the executed-
+        # opcode witness in tests/properties/test_allocation_witness.py gate
+        # what they were meant to.
         assert not {"D007", "D009", "D010"} & set(out.split())

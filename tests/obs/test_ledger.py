@@ -22,8 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.obs.ledger as ledger_module
-from repro.analysis.isolation import MODEL_MODULES, import_closure
-from repro.analysis.phases import SourceResolver
+from repro.analysis.isolation import MODEL_MODULES, SourceResolver, import_closure
 from repro.core.config import FR6, FR13
 from repro.baselines.vc.config import VC8
 from repro.harness.experiment import ExperimentResult

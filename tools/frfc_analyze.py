@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Command-line front end for the whole-model analyzers in repro.analysis.
 
-Four subcommands, each a CI gate (exit 0 = property holds):
+Three subcommands, each a CI gate (exit 0 = property holds):
 
 ``cdg``
     Channel-dependency-graph deadlock prover.  With no arguments it runs
@@ -10,15 +10,11 @@ Four subcommands, each a CI gate (exit 0 = property holds):
     for both intentionally broken routing fixtures.  ``--routing`` picks a
     single routing function instead.
 
-``races``
-    Cycle-phase race detector over the three shipped network models (FR,
-    VC, wormhole): proves every ``step()`` phase loop is actor-order
-    independent.  ``--verbose`` prints the per-phase read/write/link/hook
-    effect sets behind the verdict.
-
 ``permute``
-    Runtime order-permutation differ: re-runs one seeded workload under
-    shuffled router evaluation orders and demands bit-identical results.
+    Runtime order-permutation differ: re-runs one seeded workload per
+    shipped model (FR6, VC8, WH8) under the natural router evaluation
+    order, its reversal and seeded shuffles, and demands bit-identical
+    results; a mismatch names the model and the fields that diverged.
 
 ``isolation``
     Whole-program determinism & isolation prover: certifies each
@@ -35,7 +31,6 @@ Usage::
 
     python tools/frfc_analyze.py cdg
     python tools/frfc_analyze.py cdg --routing yx-mixed --mesh 4x4
-    python tools/frfc_analyze.py races --verbose
     python tools/frfc_analyze.py permute --orders 5 --cycles 400
     python tools/frfc_analyze.py isolation
     python tools/frfc_analyze.py isolation --check-budget \\
@@ -120,50 +115,35 @@ def _cmd_cdg(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_races(args: argparse.Namespace) -> int:
-    from repro.analysis.phases import AnalysisError, analyze_known_networks, analyze_model
+def _cmd_permute(args: argparse.Namespace) -> int:
+    from repro.analysis.permute import SHIPPED_CONFIGS, run_permutation_diff
 
-    if args.model is not None:
+    mesh = _parse_mesh(args.mesh)
+    dependent = []
+    for config in SHIPPED_CONFIGS:
         try:
-            module, class_name = args.model.rsplit(":", 1)
-        except ValueError:
-            raise SystemExit(
-                f"frfc-analyze: bad model spec {args.model!r}; "
-                "expected dotted.module:ClassName"
-            ) from None
-        try:
-            reports = [analyze_model(module, class_name)]
-        except AnalysisError as error:
+            report = run_permutation_diff(
+                config,
+                offered_load=args.load,
+                seed=args.seed,
+                cycles=args.cycles,
+                orders=args.orders,
+                mesh=mesh,
+                check_invariants=args.check_invariants,
+            )
+        except ValueError as error:
             raise SystemExit(f"frfc-analyze: {error}") from None
-    else:
-        reports = analyze_known_networks()
-    hazards = 0
-    for report in reports:
-        print(report.format(verbose=args.verbose))
+        print(report.format())
         print()
-        hazards += len(report.hazards)
-    if hazards:
-        print(f"frfc-analyze: {hazards} race hazard(s)", file=sys.stderr)
+        if not report.identical:
+            dependent.append(report.config_name)
+    if dependent:
+        print(
+            f"frfc-analyze: evaluation order changes results in {', '.join(dependent)}",
+            file=sys.stderr,
+        )
         return 1
     return 0
-
-
-def _cmd_permute(args: argparse.Namespace) -> int:
-    from repro.analysis.permute import run_permutation_diff
-
-    try:
-        report = run_permutation_diff(
-            offered_load=args.load,
-            seed=args.seed,
-            cycles=args.cycles,
-            orders=args.orders,
-            mesh=_parse_mesh(args.mesh),
-            check_invariants=args.check_invariants,
-        )
-    except ValueError as error:
-        raise SystemExit(f"frfc-analyze: {error}") from None
-    print(report.format())
-    return 0 if report.identical else 1
 
 
 def _cmd_isolation(args: argparse.Namespace) -> int:
@@ -274,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     _bootstrap_path()
     parser = argparse.ArgumentParser(
         prog="frfc-analyze",
-        description="Whole-model static analysis for the FRFC simulator.",
+        description="Whole-model analysis for the FRFC simulator.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -287,18 +267,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     cdg.add_argument("--mesh", default="8x8", help="mesh as WxH (default 8x8)")
     cdg.set_defaults(func=_cmd_cdg)
-
-    races = subparsers.add_parser("races", help="cycle-phase race detector")
-    races.add_argument(
-        "--model",
-        default=None,
-        help="analyze one model as dotted.module:ClassName "
-        "(default: FR, VC, and wormhole)",
-    )
-    races.add_argument(
-        "--verbose", action="store_true", help="print per-phase effect sets"
-    )
-    races.set_defaults(func=_cmd_races)
 
     permute = subparsers.add_parser(
         "permute", help="runtime order-permutation differ"
