@@ -47,14 +47,18 @@ class VCNodeInterface:
         self._pending: deque[VCFlit] = deque()
         self._inject_vc = -1
         self._credits = [config.buffers_per_vc] * config.num_vcs
-        self._shared_credits = config.buffers_per_input - config.num_vcs
+        # A one-element list, so the router can return shared credits to it.
+        self._shared_credits = [config.buffers_per_input - config.num_vcs]
         self._owned = [False] * config.num_vcs
         # Hot-path copies of the (frozen) config, as in VCRouter.
         self._num_vcs = config.num_vcs
         self._bufs_per_vc = config.buffers_per_vc
         self._pool_mode = config.buffer_sharing == "pool"
         self._when_empty = config.vc_reallocation == "when_empty"
-        router.ni_credit = self._credit_return
+        # Credits come back on-node: the router gets the counts themselves,
+        # never a method of this NI (which holds the router).
+        router.ni_credits = self._credits
+        router.ni_shared_credits = self._shared_credits
 
     def enqueue(self, packet: Packet) -> None:
         """Accept a freshly created packet into the source queue."""
@@ -84,14 +88,16 @@ class VCNodeInterface:
         if self._pool_mode:
             if credits[vc] < self._bufs_per_vc:
                 # The VC's dedicated slot is taken; this flit needs a shared one.
-                if self._shared_credits <= 0:
+                shared = self._shared_credits
+                if shared[0] <= 0:
                     return True
-                self._shared_credits -= 1
+                shared[0] -= 1
         elif credits[vc] <= 0:
             return True
         flit = pending.popleft()
         credits[vc] -= 1
-        self.router.accept_flit(INJECT, vc, flit, cycle)
+        router = self.router
+        router.accept_flit(router, INJECT, vc, flit, cycle)
         if not pending:
             self._owned[vc] = False
             self._inject_vc = -1
@@ -115,9 +121,3 @@ class VCNodeInterface:
         self._pending.extend(packet_to_flits(packet))
         self._inject_vc = vc
         owned[vc] = True
-
-    def _credit_return(self, vc: int) -> None:
-        outstanding = self._bufs_per_vc - self._credits[vc]
-        self._credits[vc] += 1
-        if self._pool_mode and outstanding >= 2:
-            self._shared_credits += 1

@@ -22,7 +22,7 @@ from repro.baselines.vc.flits import VCFlit
 from repro.baselines.vc.interface import VCNodeInterface
 from repro.baselines.vc.router import VCRouter
 from repro.sim.link import Link
-from repro.sim.netbase import NetworkModel
+from repro.sim.netbase import NetworkModel, PacketAccounting
 from repro.stats.collectors import OccupancyTracker
 from repro.topology.mesh import WEST, Mesh2D, opposite_port
 
@@ -59,7 +59,7 @@ class VCNetwork(NetworkModel):
                 config,
                 self.routing,
                 self.rng.spawn(20_000 + node),
-                self._make_eject(node),
+                _ejector(node, self.accounting),
             )
             for node in mesh.nodes()
         ]
@@ -98,17 +98,6 @@ class VCNetwork(NetworkModel):
                 # Flit sends wake the neighbor, credit sends wake this router.
                 data.set_wake(self._active, neighbor)
                 credit.set_wake(self._active, node)
-
-    def _make_eject(self, node: int) -> Callable[[VCFlit, int], None]:
-        def eject(flit: VCFlit, cycle: int) -> None:
-            if flit.packet.destination != node:
-                raise RuntimeError(
-                    f"misdelivery: {flit!r} ejected at node {node}, "
-                    f"destination {flit.packet.destination}"
-                )
-            self._eject_flit(flit.packet, cycle)
-
-        return eject
 
     def source_queue_length(self, node: int) -> int:
         return self.interfaces[node].queue_length
@@ -169,3 +158,18 @@ class VCNetwork(NetworkModel):
             self.occupancy = OccupancyTracker(self.config.buffers_per_input)
             self._occupancy_node = node
         return self.occupancy
+
+
+def _ejector(node: int, accounting: PacketAccounting) -> Callable[[VCFlit, int], None]:
+    """A router's eject callback; it captures the accounting object, never
+    the network (see "Ownership rule" in :mod:`repro.sim.netbase`)."""
+
+    def eject(flit: VCFlit, cycle: int) -> None:
+        if flit.packet.destination != node:
+            raise RuntimeError(
+                f"misdelivery: {flit!r} ejected at node {node}, "
+                f"destination {flit.packet.destination}"
+            )
+        accounting.eject_flit(flit.packet, cycle)
+
+    return eject

@@ -49,7 +49,8 @@ class VCRouter:
         "out_shared_credits",
         "out_vc_owned",
         "connected_outputs",
-        "ni_credit",
+        "ni_credits",
+        "ni_shared_credits",
         "_num_vcs",
         "_bufs_per_vc",
         "_bufs_per_input",
@@ -122,17 +123,23 @@ class VCRouter:
              self.in_out_vc[port])
             for port in range(NUM_PORTS)
         )
-        # Set by the network: called with (vc,) when a local-input flit leaves.
-        self.ni_credit: Optional[Callable[[int], None]] = None
+        # The NI's credit counts for this router's local input, set by the
+        # NI: one per VC, plus the one-element shared-pool count.  A flit
+        # leaving the local input returns its credit here directly (on-node
+        # wiring, no link delay).
+        self.ni_credits: Optional[list[int]] = None
+        self.ni_shared_credits: Optional[list[int]] = None
         # Observability hooks (pure observers; arbitration never consults
         # them).  Arrival: (flit, port, vc, cycle); forward: (flit, in port,
         # in vc, out port, cycle), ejections included.  The public names are
         # properties whose setters swap the accept_flit/_forward dispatch
-        # slots between plain and observed variants (zero-cost detach).
+        # slots between plain and observed variants (zero-cost detach).  The
+        # slots hold plain class functions, not bound methods, so the router
+        # never references itself; call sites pass it: accept_flit(router, ...).
         self._on_flit_arrival: Optional[Callable[[VCFlit, int, int, int], None]] = None
         self._on_flit_forward: Optional[Callable[[VCFlit, int, int, int, int], None]] = None
-        self.accept_flit = self._accept_flit_plain
-        self._forward = self._forward_plain
+        self.accept_flit = VCRouter._accept_flit_plain
+        self._forward = VCRouter._forward_plain
         # Activity tracking: total buffered flits across all inputs, plus the
         # wake slot the network rebinds to its worklist (bind_activity).
         self._buffered_total = 0
@@ -158,7 +165,7 @@ class VCRouter:
     def on_flit_arrival(self, hook: Optional[Callable[[VCFlit, int, int, int], None]]) -> None:
         self._on_flit_arrival = hook
         self.accept_flit = (
-            self._accept_flit_plain if hook is None else self._accept_flit_observed
+            VCRouter._accept_flit_plain if hook is None else VCRouter._accept_flit_observed
         )
 
     @property
@@ -170,7 +177,7 @@ class VCRouter:
         self, hook: Optional[Callable[[VCFlit, int, int, int, int], None]]
     ) -> None:
         self._on_flit_forward = hook
-        self._forward = self._forward_plain if hook is None else self._forward_observed
+        self._forward = VCRouter._forward_plain if hook is None else VCRouter._forward_observed
 
     # -- wiring (done once by the network) -----------------------------------
 
@@ -232,7 +239,7 @@ class VCRouter:
                 continue
             used_inputs |= in_bit
             used_outputs |= out_bit
-            self._forward(port, vc, out_port, cycle)
+            self._forward(self, port, vc, out_port, cycle)
 
     def _gather_candidates(self) -> list[tuple[int, int, int]]:
         pool_mode = self._pool_mode
@@ -280,7 +287,7 @@ class VCRouter:
                 self.out_vc_owned[out_port][out_vc] = False
         # Return the freed buffer to whoever feeds this input.
         if port == INJECT:
-            self.ni_credit(vc)
+            self._return_ni_credit(vc)
         else:
             self.out_credit_links[port].send(vc, cycle)
         if flit.is_tail:
@@ -311,7 +318,7 @@ class VCRouter:
             if flit.is_tail:
                 self.out_vc_owned[out_port][out_vc] = False
         if port == INJECT:
-            self.ni_credit(vc)
+            self._return_ni_credit(vc)
         else:
             self.out_credit_links[port].send(vc, cycle)
         if flit.is_tail:
@@ -321,12 +328,21 @@ class VCRouter:
             if queue:  # the next packet's head is already waiting behind it
                 self._unrouted += 1
 
+    def _return_ni_credit(self, vc: int) -> None:
+        """Credit the NI for a flit that left the local input."""
+        credits = self.ni_credits
+        outstanding = self._bufs_per_vc - credits[vc]
+        credits[vc] += 1
+        if self._pool_mode and outstanding >= 2:
+            # The freed slot was a shared one (see deliver_credits).
+            self.ni_shared_credits[0] += 1
+
     def deliver_flits(self, cycle: int) -> None:
         """Move arriving flits from input links into their VC queues."""
         for port, link in self._data_in_scan:
             if link.pending and cycle >= link.next_arrival:
                 for out_vc, flit in link.receive(cycle):
-                    self.accept_flit(port, out_vc, flit, cycle)
+                    self.accept_flit(self, port, out_vc, flit, cycle)
 
     def _accept_flit_plain(self, port: int, vc: int, flit: VCFlit, cycle: int = -1) -> None:
         """Insert one flit into an input VC queue, checking buffer bounds.

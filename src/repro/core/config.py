@@ -56,6 +56,15 @@ class FRConfig:
             raise ValueError("need at least 1 buffer per control VC")
         if self.data_flits_per_control < 1:
             raise ValueError("a control flit must lead at least 1 data flit")
+        # Fail here, naming the field, rather than later inside Link().
+        for name in ("data_link_delay", "control_link_delay", "credit_link_delay"):
+            delay = getattr(self, name)
+            if delay < 1:
+                raise ValueError(f"{name} must be >= 1 cycle, got {delay}")
+        if self.control_flits_per_cycle < 1:
+            raise ValueError(
+                f"control_flits_per_cycle must be >= 1, got {self.control_flits_per_cycle}"
+            )
         if self.scheduling_horizon < self.data_link_delay + 2:
             raise ValueError(
                 f"scheduling horizon {self.scheduling_horizon} too short to cover "

@@ -81,10 +81,12 @@ class InputScheduler:
         # observer -- the scheduler never consults it.  The public name is a
         # property; setting it swaps the on_arrival/take_departures dispatch
         # slots between plain and observed variants, so a detached scheduler
-        # pays no per-event hook branches.
+        # pays no per-event hook branches.  The slots hold plain class
+        # functions (a bound method would make the scheduler reference
+        # itself), so callers pass the scheduler: on_arrival(sched, now, flit).
         self._on_buffer_event: Optional[Callable[[str, int, int], None]] = None
-        self.on_arrival = self._on_arrival_plain
-        self.take_departures = self._take_departures_plain
+        self.on_arrival = InputScheduler._on_arrival_plain
+        self.take_departures = InputScheduler._take_departures_plain
         # Diagnostics.
         self.flits_bypassed = 0
         self.flits_buffered = 0
@@ -98,11 +100,11 @@ class InputScheduler:
     def on_buffer_event(self, hook: Optional[Callable[[str, int, int], None]]) -> None:
         self._on_buffer_event = hook
         if hook is None:
-            self.on_arrival = self._on_arrival_plain
-            self.take_departures = self._take_departures_plain
+            self.on_arrival = InputScheduler._on_arrival_plain
+            self.take_departures = InputScheduler._take_departures_plain
         else:
-            self.on_arrival = self._on_arrival_observed
-            self.take_departures = self._take_departures_observed
+            self.on_arrival = InputScheduler._on_arrival_observed
+            self.take_departures = InputScheduler._take_departures_observed
 
     def on_reservation(self, now: int, arrival: int, departure: int, out_port: int) -> None:
         """Record the output scheduler's feedback for one data flit.

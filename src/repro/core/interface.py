@@ -89,8 +89,11 @@ class FRNodeInterface:
         self._data_wake = 0
         self.packets_pending = 0
         self.data_flits_pending = 0
-        router.ni_advance_credit = self._advance_credit
-        router.ni_control_credit = self._control_credit
+        # Credits from the router arrive on-node, with no link delay: it gets
+        # the injection table's apply_credit and the control credit counts
+        # themselves, never a method of this NI (which holds the router).
+        router.ni_advance_credit = self.injection_table.apply_credit
+        router.ni_control_credits = self._ctrl_credits
 
     def bind_activity(self, data_flags: bytearray, index: int) -> None:
         """Point this NI's data-phase wake slot at the network's worklist."""
@@ -216,7 +219,8 @@ class FRNodeInterface:
         flit.vcid = vc
         flit.reset_schedule_flags()
         self._ctrl_credits[vc] -= 1
-        self.router.accept_control_flit(INJECT, vc, flit, -1)
+        router = self.router
+        router.accept_control_flit(router, INJECT, vc, flit, -1)
         if flit.is_last:
             self._ctrl_vc_owned[vc] = False
             self._inject_vc = -1
@@ -241,11 +245,3 @@ class FRNodeInterface:
                 self.data_flits_pending -= 1
                 router.inject_data(flit, now)
         return bool(ready)
-
-    # -- credits from the router (on-node, no link delay) ------------------------------
-
-    def _advance_credit(self, now: int, from_cycle: int) -> None:
-        self.injection_table.apply_credit(now, from_cycle)
-
-    def _control_credit(self, vc: int) -> None:
-        self._ctrl_credits[vc] += 1

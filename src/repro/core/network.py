@@ -26,7 +26,7 @@ from repro.core.flits import ControlFlit, DataFlit, FlitPool
 from repro.core.interface import FRNodeInterface
 from repro.core.router import FRRouter
 from repro.sim.link import Link
-from repro.sim.netbase import NetworkModel
+from repro.sim.netbase import NetworkModel, PacketAccounting
 from repro.stats.collectors import ControlLeadTracker, LatencyStats, OccupancyTracker
 from repro.topology.mesh import WEST, Mesh2D, opposite_port
 
@@ -59,14 +59,18 @@ class FRNetwork(NetworkModel):
         )
         self.config = config
         self.flit_pool = FlitPool()
+        # Per-data-flit network latency (injection to ejection), the quantity
+        # behind the paper's "base data latency of 6 cycles" observation.
+        self.data_flit_latency = LatencyStats(streaming=streaming)
+        consume = _control_consumer(self.flit_pool)
         self.routers = [
             FRRouter(
                 node,
                 config,
                 self.routing,
                 self.rng.spawn(20_000 + node),
-                self._make_data_eject(node),
-                self._on_control_consumed,
+                _data_ejector(node, self.accounting, self.data_flit_latency, self.flit_pool),
+                consume,
             )
             for node in mesh.nodes()
         ]
@@ -92,9 +96,6 @@ class FRNetwork(NetworkModel):
             self.routers[node].bind_activity(self._ctrl_active, self._dep_active, node)
             self.interfaces[node].bind_activity(self._ni_data_active, node)
         self._wire_links()
-        # Per-data-flit network latency (injection to ejection), the quantity
-        # behind the paper's "base data latency of 6 cycles" observation.
-        self.data_flit_latency = LatencyStats(streaming=streaming)
         self.occupancy: OccupancyTracker | None = None
         self._occupancy_node = track_occupancy_node
         if track_occupancy_node is not None:
@@ -102,9 +103,10 @@ class FRNetwork(NetworkModel):
         self.control_lead: ControlLeadTracker | None = None
         if track_control_lead:
             self.control_lead = ControlLeadTracker()
+            on_control, on_data = _control_lead_hooks(self.control_lead)
             for router in self.routers:
-                router.on_control_arrival = self._on_control_arrival
-                router.on_data_arrival = self._on_data_arrival
+                router.on_control_arrival = on_control
+                router.on_data_arrival = on_data
 
     @property
     def flow_control_name(self) -> str:
@@ -136,37 +138,6 @@ class FRNetwork(NetworkModel):
                 ctrl.set_wake(self._ctrl_active, neighbor)
                 adv_credit.set_wake(self._ctrl_active, node)
                 ctrl_credit.set_wake(self._ctrl_active, node)
-
-    # -- delivery hooks -------------------------------------------------------------
-
-    def _make_data_eject(self, node: int) -> Callable[[DataFlit, int], None]:
-        def eject(flit: DataFlit, cycle: int) -> None:
-            if flit.packet.destination != node:
-                raise RuntimeError(
-                    f"misdelivery: {flit!r} ejected at node {node}, "
-                    f"destination {flit.packet.destination}"
-                )
-            if flit.injection_cycle >= 0 and flit.packet.measured:
-                self.data_flit_latency.record(cycle - flit.injection_cycle)
-            self._eject_flit(flit.packet, cycle)
-            # Single end of life for a data flit: delivered and accounted.
-            self.flit_pool.release_data(flit)
-
-        return eject
-
-    def _on_control_consumed(self, flit: ControlFlit, cycle: int) -> None:
-        # Reassembly scheduling is complete for this control flit; nothing
-        # further to model (reassembly buffers are infinite).  Single end of
-        # life for a control flit: recycle it.
-        self.flit_pool.release_control(flit)
-
-    def _on_control_arrival(self, flit: ControlFlit, node: int, cycle: int) -> None:
-        if flit.is_head and cycle >= 0 and flit.packet.destination == node:
-            self.control_lead.record_control_arrival(flit.packet.packet_id, cycle)
-
-    def _on_data_arrival(self, flit: DataFlit, node: int, cycle: int) -> None:
-        if flit.packet.destination == node:
-            self.control_lead.record_first_data_arrival(flit.packet.packet_id, cycle)
 
     # -- structure queries ----------------------------------------------------------
 
@@ -258,3 +229,52 @@ class FRNetwork(NetworkModel):
                 if scheduler.bookkeeper is not None:
                     total += scheduler.bookkeeper.transfers
         return total
+
+
+# -- callbacks handed to the routers ------------------------------------------
+#
+# Module-level factories, so no callback can capture the network: each
+# closes over the pieces it writes to (see "Ownership rule" in
+# repro.sim.netbase).
+
+
+def _data_ejector(
+    node: int, accounting: PacketAccounting, data_flit_latency: LatencyStats, pool: FlitPool
+) -> Callable[[DataFlit, int], None]:
+    def eject(flit: DataFlit, cycle: int) -> None:
+        if flit.packet.destination != node:
+            raise RuntimeError(
+                f"misdelivery: {flit!r} ejected at node {node}, "
+                f"destination {flit.packet.destination}"
+            )
+        if flit.injection_cycle >= 0 and flit.packet.measured:
+            data_flit_latency.record(cycle - flit.injection_cycle)
+        accounting.eject_flit(flit.packet, cycle)
+        # Single end of life for a data flit: delivered and accounted.
+        pool.release_data(flit)
+
+    return eject
+
+
+def _control_consumer(pool: FlitPool) -> Callable[[ControlFlit, int], None]:
+    def consume(flit: ControlFlit, cycle: int) -> None:
+        # Reassembly scheduling is complete for this control flit; nothing
+        # further to model (reassembly buffers are infinite).  Single end of
+        # life for a control flit: recycle it.
+        pool.release_control(flit)
+
+    return consume
+
+
+def _control_lead_hooks(
+    tracker: ControlLeadTracker,
+) -> tuple[Callable[[ControlFlit, int, int], None], Callable[[DataFlit, int, int], None]]:
+    def on_control_arrival(flit: ControlFlit, node: int, cycle: int) -> None:
+        if flit.is_head and cycle >= 0 and flit.packet.destination == node:
+            tracker.record_control_arrival(flit.packet.packet_id, cycle)
+
+    def on_data_arrival(flit: DataFlit, node: int, cycle: int) -> None:
+        if flit.packet.destination == node:
+            tracker.record_first_data_arrival(flit.packet.packet_id, cycle)
+
+    return on_control_arrival, on_data_arrival

@@ -32,12 +32,19 @@ Kernel architecture notes (see docs/performance.md):
   a no-op that draws no randomness, so active-set stepping is digest-
   identical to dense stepping.
 * The observability hooks are exposed as properties whose setters swap
-  bound-method dispatch slots (``accept_control_flit``, ``_accept_data``,
+  dispatch slots (``accept_control_flit``, ``_accept_data``,
   ``_commit_reservation``, ``_return_control_credit``) between a plain and
   an observed variant, so a detached run pays no per-event hook branches.
   The observed variants must stay in lockstep with their plain twins --
   they differ only in the hook invocations, at the exact points the hooks
   historically fired.
+* A dispatch slot holds the plain class function, never a bound method
+  (which would reference the router from the router), and every call site
+  passes the router itself: ``self._accept_data(self, port, flit, now)``.
+  Together with the NI handing over its injection table's ``apply_credit``
+  and its control-credit list instead of its own methods, this keeps the
+  network's object graph acyclic (see "Ownership rule" in
+  :mod:`repro.sim.netbase`).
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ class FRRouter:
         "adv_credit_in",
         "connected_outputs",
         "ni_advance_credit",
-        "ni_control_credit",
+        "ni_control_credits",
         "_num_vcs",
         "_ctrl_budget",
         "_ctrl_bufs_per_vc",
@@ -153,9 +160,9 @@ class FRRouter:
         # Scheduling-policy dispatch slot: chosen once here, so the hot
         # control loop never re-compares the policy string per flit.
         if self._per_flit:
-            self._schedule_data_flits = self._schedule_per_flit
+            self._schedule_data_flits = FRRouter._schedule_per_flit
         else:
-            self._schedule_data_flits = self._schedule_all_or_nothing
+            self._schedule_data_flits = FRRouter._schedule_all_or_nothing
         # Control input side.
         self.ctrl_queues: list[list[deque[ControlFlit]]] = [
             [deque() for _ in range(v)] for _ in range(NUM_PORTS)
@@ -207,9 +214,11 @@ class FRRouter:
         self.adv_credit_out: list[Optional[Link[int]]] = [None] * NUM_PORTS
         self.adv_credit_in: list[Optional[Link[int]]] = [None] * NUM_PORTS
         self.connected_outputs: list[int] = []
-        # NI callbacks (on-node wiring, no link delay), set by the network.
+        # The NI's side of the local input (on-node wiring, no link delay),
+        # set by the NI: its injection table's apply_credit, called with
+        # (now, free-from cycle), and its per-VC control credit counts.
         self.ni_advance_credit: Optional[Callable[[int, int], None]] = None
-        self.ni_control_credit: Optional[Callable[[int], None]] = None
+        self.ni_control_credits: Optional[list[int]] = None
         # Observability hooks (stats/tracing only; routing never consults
         # them).  Grant: (control flit, data-flit index, out port, departure,
         # cycle); deny: (control flit, out port, cycle); credit return:
@@ -221,10 +230,10 @@ class FRRouter:
         self._on_reservation_grant: Optional[Callable[[ControlFlit, int, int, int, int], None]] = None
         self._on_credit_return: Optional[Callable[[str, int, int, int], None]] = None
         self.on_reservation_deny: Optional[Callable[[ControlFlit, int, int], None]] = None
-        self.accept_control_flit = self._accept_control_plain
-        self._accept_data = self._accept_data_plain
-        self._commit_reservation = self._commit_reservation_plain
-        self._return_control_credit = self._return_credit_plain
+        self.accept_control_flit = FRRouter._accept_control_plain
+        self._accept_data = FRRouter._accept_data_plain
+        self._commit_reservation = FRRouter._commit_reservation_plain
+        self._return_control_credit = FRRouter._return_credit_plain
         # Activity tracking: queued control flits per port (and in total) gate
         # the control-serve loop, and the flag slots below are rebound by the
         # network to its shared per-phase worklist arrays (bind_activity).
@@ -311,7 +320,7 @@ class FRRouter:
     def on_data_arrival(self, hook: Optional[Callable[[DataFlit, int, int], None]]) -> None:
         self._on_data_arrival = hook
         self._accept_data = (
-            self._accept_data_plain if hook is None else self._accept_data_observed
+            FRRouter._accept_data_plain if hook is None else FRRouter._accept_data_observed
         )
 
     @property
@@ -324,7 +333,7 @@ class FRRouter:
     ) -> None:
         self._on_control_arrival = hook
         self.accept_control_flit = (
-            self._accept_control_plain if hook is None else self._accept_control_observed
+            FRRouter._accept_control_plain if hook is None else FRRouter._accept_control_observed
         )
 
     @property
@@ -348,7 +357,7 @@ class FRRouter:
     def on_credit_return(self, hook: Optional[Callable[[str, int, int, int], None]]) -> None:
         self._on_credit_return = hook
         self._return_control_credit = (
-            self._return_credit_plain if hook is None else self._return_credit_observed
+            FRRouter._return_credit_plain if hook is None else FRRouter._return_credit_observed
         )
         self._refresh_commit_dispatch()
 
@@ -357,11 +366,13 @@ class FRRouter:
             self._on_reservation_grant is not None or self._on_credit_return is not None
         )
         self._commit_reservation = (
-            self._commit_reservation_observed if observed else self._commit_reservation_plain
+            FRRouter._commit_reservation_observed
+            if observed
+            else FRRouter._commit_reservation_plain
         )
         if self._per_flit:
             self._schedule_data_flits = (
-                self._schedule_per_flit_observed if observed else self._schedule_per_flit
+                FRRouter._schedule_per_flit_observed if observed else FRRouter._schedule_per_flit
             )
 
     # -- control plane ----------------------------------------------------------
@@ -398,7 +409,7 @@ class FRRouter:
             if link.pending:
                 if now >= link.next_arrival:
                     for flit in link.receive(now):
-                        self.accept_control_flit(port, flit.vcid, flit, now)
+                        self.accept_control_flit(self, port, flit.vcid, flit, now)
                     if link.pending:
                         active = True
                 else:
@@ -493,7 +504,7 @@ class FRRouter:
                         route_port[vc] = None
                     if flit.credited:
                         self._ctrl_credited[port][vc] -= 1
-                        self._return_control_credit(port, vc, now)
+                        self._return_control_credit(self, port, vc, now)
                 break  # at most one link forward per VC per cycle
         # Processing pass: route + schedule up to control_flits_per_cycle
         # flits.  Two rules keep the control/data dependency graph acyclic
@@ -581,7 +592,7 @@ class FRRouter:
             self.route_table[port][vc] = entry
         out_port = entry[0]
         if out_port == EJECT:
-            if not self._schedule_data_flits(port, flit, out_port, now):
+            if not self._schedule_data_flits(self, port, flit, out_port, now):
                 self.schedule_stalls += 1
                 if self.on_reservation_deny is not None:
                     self.on_reservation_deny(flit, out_port, now)
@@ -604,7 +615,7 @@ class FRRouter:
         elif self.ctrl_credits[out_port][out_vc] <= 0:
             self.forward_stalls += 1
             return "stall"
-        if not self._schedule_data_flits(port, flit, out_port, now):
+        if not self._schedule_data_flits(self, port, flit, out_port, now):
             self.schedule_stalls += 1
             if self.on_reservation_deny is not None:
                 self.on_reservation_deny(flit, out_port, now)
@@ -742,7 +753,7 @@ class FRRouter:
             departure = table.reserve_earliest(now, earliest, port_uses, limit)
             if departure is None:
                 return False
-            self._commit_reservation(port, flit, i, departure, out_port, now)
+            self._commit_reservation(self, port, flit, i, departure, out_port, now)
         return True
 
     def _find_departure(
@@ -774,7 +785,7 @@ class FRRouter:
             table.reserve(now, departure)
             tentative.append((i, departure))
         for i, departure in tentative:
-            self._commit_reservation(port, flit, i, departure, out_port, now)
+            self._commit_reservation(self, port, flit, i, departure, out_port, now)
         return True
 
     def _commit_reservation_plain(
@@ -831,12 +842,12 @@ class FRRouter:
             self.route_table[port][vc] = None
         if flit.credited:
             self._ctrl_credited[port][vc] -= 1
-            self._return_control_credit(port, vc, now)
+            self._return_control_credit(self, port, vc, now)
         self.consume_control(flit, now)
 
     def _return_credit_plain(self, port: int, vc: int, now: int) -> None:
         if port == INJECT:
-            self.ni_control_credit(vc)
+            self.ni_control_credits[vc] += 1
         else:
             self.ctrl_credit_out[port].send(vc, now)
 
@@ -865,7 +876,7 @@ class FRRouter:
             port_uses = scheduler.port_uses
             if port_uses:
                 if now >= scheduler.next_departure:
-                    departures = scheduler.take_departures(now)
+                    departures = scheduler.take_departures(scheduler, now)
                     if departures:
                         for flit, out_port in departures:
                             if out_port == EJECT:
@@ -888,7 +899,7 @@ class FRRouter:
             if link.pending:
                 if now >= link.next_arrival:
                     for flit in link.receive(now):
-                        self._accept_data(port, flit, now)
+                        self._accept_data(self, port, flit, now)
                     if link.pending:
                         active = True
                 else:
@@ -897,10 +908,11 @@ class FRRouter:
 
     def inject_data(self, flit: DataFlit, now: int) -> None:
         """The NI delivers a data flit to the local input at its reserved cycle."""
-        self._accept_data(INJECT, flit, now)
+        self._accept_data(self, INJECT, flit, now)
 
     def _accept_data_plain(self, port: int, flit: DataFlit, now: int) -> None:
-        bypass_port = self.input_sched[port].on_arrival(now, flit)
+        scheduler = self.input_sched[port]
+        bypass_port = scheduler.on_arrival(scheduler, now, flit)
         if bypass_port is not None:
             if bypass_port == EJECT:
                 self.eject_data(flit, now)

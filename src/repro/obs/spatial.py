@@ -94,7 +94,6 @@ class SpatialMetricsRegistry:
         self._node_samplers: list[tuple[str, NodeSampler]] = []
         self._links: list["Link[Any]"] = []
         self._link_sent_prev: list[int] = []
-        self._stall_prev: list[int] = []
         self._last_sample_cycle: int | None = None
         self._last_window_end = 0
         self._network: "NetworkModel | None" = None
@@ -143,23 +142,13 @@ class SpatialMetricsRegistry:
         if routers and hasattr(routers[0], "schedule_stalls"):
             # Snapshot at install so a mid-run attach only counts stalls
             # accrued from here on (same convention as the link counters).
-            self._stall_prev = [router.schedule_stalls for router in routers]
-            self.add_node_sampler("credit_stalls", RATE, self._node_credit_stalls)
+            stalls = [router.schedule_stalls for router in routers]
+            self.add_node_sampler("credit_stalls", RATE, _node_credit_stalls(stalls))
         links = _data_links(network)
         self.link_keys = sorted(links)
         self._links = [links[key] for key in self.link_keys]
         self._link_sent_prev = [link.total_sent for link in self._links]
         self.link_metrics["link_utilization"] = RATE
-
-    def _node_credit_stalls(self, network: "NetworkModel", cycle: int) -> list[float]:
-        """Per-router schedule stalls accrued in this sampling window."""
-        values: list[float] = []
-        prev = self._stall_prev
-        for index, router in enumerate(getattr(network, "routers", [])):
-            total = router.schedule_stalls
-            values.append(float(total - prev[index]))
-            prev[index] = total
-        return values
 
     # -- the CycleHook -------------------------------------------------------
 
@@ -274,7 +263,7 @@ def _format_value(value: float) -> str:
     return f"{value:.6f}"
 
 
-# -- standard node samplers (module-level so they carry no per-run state) ----
+# -- standard node samplers (module-level, so none references the registry) --
 
 
 def _node_buffer_occupancy(network: "NetworkModel", cycle: int) -> list[float]:
@@ -293,3 +282,22 @@ def _node_reservation_occupancy(network: "NetworkModel", cycle: int) -> list[flo
 
 def _node_injection_backpressure(network: "NetworkModel", cycle: int) -> list[float]:
     return [float(network.source_queue_length(node)) for node in network.mesh.nodes()]
+
+
+def _node_credit_stalls(prev: list[int]) -> NodeSampler:
+    """Per-router schedule stalls accrued in each sampling window.
+
+    ``prev`` holds each router's count at the previous sample; the sampler
+    closes over it rather than over the registry, which would then
+    reference itself through its own sampler list.
+    """
+
+    def sample(network: "NetworkModel", cycle: int) -> list[float]:
+        values: list[float] = []
+        for index, router in enumerate(getattr(network, "routers", [])):
+            total = router.schedule_stalls
+            values.append(float(total - prev[index]))
+            prev[index] = total
+        return values
+
+    return sample

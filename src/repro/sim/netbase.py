@@ -6,10 +6,18 @@ with per-node packet sources, a per-cycle ``step``, and the measurement hooks
 the experiment harness drives.  This module holds the common plumbing --
 source construction, packet bookkeeping, measurement windows, ejection
 accounting -- so each router model only implements its own cycle semantics.
+
+Ownership rule: a component never references its owner.  The network holds
+its routers, interfaces, sources and a :class:`PacketAccounting`; the eject
+callbacks the routers hold capture that accounting object, never the
+network, and the sources draw packet ids from a plain counter.  The object
+graph is therefore acyclic, and reference counting frees a finished network
+the moment its last reference goes, without waiting for a cyclic collection.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Optional
 
 from repro.sim.rng import DeterministicRng
@@ -22,13 +30,59 @@ from repro.traffic.patterns import TrafficPattern, make_traffic_pattern
 from repro.traffic.source import PacketSource
 
 
+class PacketAccounting:
+    """Packet bookkeeping shared by a network and its eject callbacks.
+
+    Holds the packets in flight, the delivery counters and the
+    latency/throughput collectors.  A router's eject callback calls
+    :meth:`eject_flit` on this object rather than on the network, which is
+    what keeps the network's object graph free of cycles.
+    """
+
+    __slots__ = (
+        "latency_stats",
+        "throughput",
+        "in_flight",
+        "measured_outstanding",
+        "measured_delivered",
+        "packets_delivered",
+        "on_packet_delivered",
+    )
+
+    def __init__(self, latency_stats: LatencyStats, throughput: ThroughputCounter) -> None:
+        self.latency_stats = latency_stats
+        self.throughput = throughput
+        self.in_flight: dict[int, Packet] = {}
+        self.measured_outstanding = 0
+        self.measured_delivered = 0
+        self.packets_delivered = 0
+        # Observability hook (pure observer), called with (packet, cycle) at
+        # last-flit ejection.
+        self.on_packet_delivered: Optional[Callable[[Packet, int], None]] = None
+
+    def eject_flit(self, packet: Packet, cycle: int) -> None:
+        """Account one flit leaving the network at its destination."""
+        self.throughput.record_flit(cycle)
+        if packet.record_flit_delivery(cycle):
+            self.packets_delivered += 1
+            self.throughput.record_packet(cycle)
+            del self.in_flight[packet.packet_id]
+            if packet.measured:
+                self.measured_outstanding -= 1
+                self.measured_delivered += 1
+                self.latency_stats.record(packet.latency)
+            if self.on_packet_delivered is not None:
+                self.on_packet_delivered(packet, cycle)
+
+
 class NetworkModel:
     """Base class for a complete simulated network.
 
-    Subclasses implement :meth:`step` (one clock cycle) and call
-    :meth:`_eject_flit` whenever a flit leaves the network at its
-    destination.  The base class owns packet creation, the measurement
-    window, and the latency/throughput collectors.
+    Subclasses implement :meth:`step` (one clock cycle) and hand their
+    routers eject callbacks that call ``self.accounting.eject_flit`` --
+    capturing the accounting object, not the network -- whenever a flit
+    leaves the network at its destination.  The base class owns packet
+    creation, the measurement window, and the latency/throughput collectors.
     """
 
     def __init__(
@@ -52,7 +106,7 @@ class NetworkModel:
             self.pattern = traffic
         else:
             self.pattern = make_traffic_pattern(traffic, mesh)
-        self._packet_counter = 0
+        next_packet_id = itertools.count(1).__next__
         self.sources = [
             PacketSource(
                 node=node,
@@ -62,7 +116,7 @@ class NetworkModel:
                 ),
                 packet_length=packet_length,
                 rng=self.rng.spawn(10_000 + node),
-                next_packet_id=self._next_packet_id,
+                next_packet_id=next_packet_id,
             )
             for node in self.mesh.nodes()
         ]
@@ -72,16 +126,15 @@ class NetworkModel:
         # requires bit-identical results; it must remain a permutation of
         # the mesh nodes.
         self.eval_order = list(self.mesh.nodes())
-        self.latency_stats = LatencyStats(streaming=streaming)
-        self.throughput = ThroughputCounter(mesh.num_nodes)
-        self.packets_in_flight: dict[int, Packet] = {}
-        self.measured_outstanding = 0
-        self.measured_delivered = 0
-        self.packets_delivered = 0
-        # Observability hooks (pure observers), called with (packet, cycle)
-        # at creation and at last-flit ejection.
+        self.accounting = PacketAccounting(
+            LatencyStats(streaming=streaming), ThroughputCounter(mesh.num_nodes)
+        )
+        self.latency_stats = self.accounting.latency_stats
+        self.throughput = self.accounting.throughput
+        self.packets_in_flight = self.accounting.in_flight
+        # Observability hook (pure observer), called with (packet, cycle) at
+        # creation; the delivery twin lives on the accounting object.
         self.on_packet_created: Optional[Callable[[Packet, int], None]] = None
-        self.on_packet_delivered: Optional[Callable[[Packet, int], None]] = None
 
     # -- identity ----------------------------------------------------------
 
@@ -90,9 +143,28 @@ class NetworkModel:
         """Human-readable flow control scheme name, e.g. 'VC8'."""
         raise NotImplementedError("network models must name their flow control scheme")
 
-    def _next_packet_id(self) -> int:
-        self._packet_counter += 1
-        return self._packet_counter
+    # -- delivery counters (read through the accounting object) ---------------
+
+    @property
+    def measured_outstanding(self) -> int:
+        """Measured packets created but not yet delivered."""
+        return self.accounting.measured_outstanding
+
+    @property
+    def measured_delivered(self) -> int:
+        return self.accounting.measured_delivered
+
+    @property
+    def packets_delivered(self) -> int:
+        return self.accounting.packets_delivered
+
+    @property
+    def on_packet_delivered(self) -> Optional[Callable[[Packet, int], None]]:
+        return self.accounting.on_packet_delivered
+
+    @on_packet_delivered.setter
+    def on_packet_delivered(self, hook: Optional[Callable[[Packet, int], None]]) -> None:
+        self.accounting.on_packet_delivered = hook
 
     # -- measurement control ------------------------------------------------
 
@@ -133,22 +205,8 @@ class NetworkModel:
                 continue
             self.packets_in_flight[packet.packet_id] = packet
             if packet.measured:
-                self.measured_outstanding += 1
+                self.accounting.measured_outstanding += 1
             if self.on_packet_created is not None:
                 self.on_packet_created(packet, cycle)
             created.append(packet)
         return created
-
-    def _eject_flit(self, packet: Packet, cycle: int) -> None:
-        """Account one flit leaving the network at its destination."""
-        self.throughput.record_flit(cycle)
-        if packet.record_flit_delivery(cycle):
-            self.packets_delivered += 1
-            self.throughput.record_packet(cycle)
-            del self.packets_in_flight[packet.packet_id]
-            if packet.measured:
-                self.measured_outstanding -= 1
-                self.measured_delivered += 1
-                self.latency_stats.record(packet.latency)
-            if self.on_packet_delivered is not None:
-                self.on_packet_delivered(packet, cycle)

@@ -32,13 +32,20 @@ class DimensionOrderRouting:
 
     def __init__(self, mesh: Mesh2D) -> None:
         self.mesh = mesh
-        n = mesh.num_nodes
-        self._table = [bytearray(n) for _ in range(n)]
-        for node in range(n):
-            for destination in range(n):
-                self._table[node][destination] = self._compute(node, destination)
+        width, height = mesh.width, mesh.height
+        self._table: list[bytearray] = []
+        for node in range(mesh.num_nodes):
+            x, y = node % width, node // width
+            # Each destination row is WEST up to this column and EAST after
+            # it; only the entry for this column depends on the row: NORTH
+            # above this node, EJECT on its row, SOUTH below.
+            west, east = bytes([WEST]) * x, bytes([EAST]) * (width - x - 1)
+            north, here, south = (west + bytes([port]) + east for port in (NORTH, EJECT, SOUTH))
+            self._table.append(bytearray(north * y + here + south * (height - y - 1)))
 
     def _compute(self, node: int, destination: int) -> int:
+        """The port for one (node, destination) pair: the reference the
+        table is tested against."""
         x, y = self.mesh.coordinates(node)
         dx, dy = self.mesh.coordinates(destination)
         if x < dx:

@@ -37,9 +37,9 @@ class Rig:
         credit = Link(self.config.credit_link_delay)
         self.left.connect_output(EAST, data, credit)
         self.right.connect_input(WEST, data, credit)
-        self.ni_credits = []
+        self.ni_credits = [0] * self.config.num_vcs
         for router in (self.left, self.right):
-            router.ni_credit = self.ni_credits.append
+            router.ni_credits = self.ni_credits
         self.cycle = 0
 
     def step(self, cycles=1):
@@ -57,7 +57,7 @@ class Rig:
         packet = Packet(1, source=0, destination=destination, length=length,
                         creation_cycle=self.cycle)
         for flit in packet_to_flits(packet):
-            self.left.accept_flit(INJECT, vc, flit)
+            self.left.accept_flit(self.left, INJECT, vc, flit)
         return packet
 
 
@@ -122,7 +122,7 @@ class TestCredits:
         rig = Rig()
         rig.inject_packet(destination=1, length=1, vc=1)
         rig.step(2)
-        assert rig.ni_credits == [1]
+        assert rig.ni_credits == [0, 1]
 
     def test_no_send_without_credit(self):
         """Fill the downstream VC queue; the sender must stall until a
@@ -136,7 +136,7 @@ class TestCredits:
         packet = Packet(1, 0, 1, 8, 0)
         for flit in packet_to_flits(packet):
             try:
-                rig.left.accept_flit(INJECT, 0, flit)
+                rig.left.accept_flit(rig.left, INJECT, 0, flit)
             except RuntimeError:
                 break  # input buffer full: expected for a long packet
         for _ in range(30):
@@ -158,9 +158,9 @@ class TestVCAllocation:
         long_a = Packet(1, 0, 1, 6, 0)
         long_b = Packet(2, 0, 1, 6, 0)
         for flit in packet_to_flits(long_a)[:4]:
-            rig.left.accept_flit(INJECT, 0, flit)
+            rig.left.accept_flit(rig.left, INJECT, 0, flit)
         for flit in packet_to_flits(long_b)[:4]:
-            rig.left.accept_flit(INJECT, 1, flit)
+            rig.left.accept_flit(rig.left, INJECT, 1, flit)
         rig.step(3)
         owned = rig.left.out_vc_owned[EAST]
         assert owned.count(True) == 2

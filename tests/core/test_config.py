@@ -65,3 +65,20 @@ class TestValidation:
     def test_zero_buffers(self):
         with pytest.raises(ValueError):
             FRConfig(data_buffers_per_input=0)
+
+    # Each names its own field instead of failing later inside Link().
+    def test_zero_data_link_delay(self):
+        with pytest.raises(ValueError, match="data_link_delay must be >= 1 cycle, got 0"):
+            FRConfig(data_link_delay=0)
+
+    def test_zero_control_link_delay(self):
+        with pytest.raises(ValueError, match="control_link_delay must be >= 1 cycle, got 0"):
+            FRConfig(control_link_delay=0)
+
+    def test_zero_credit_link_delay(self):
+        with pytest.raises(ValueError, match="credit_link_delay must be >= 1 cycle, got 0"):
+            FRConfig(credit_link_delay=0)
+
+    def test_zero_control_flits_per_cycle(self):
+        with pytest.raises(ValueError, match="control_flits_per_cycle must be >= 1, got 0"):
+            FRConfig(control_flits_per_cycle=0)

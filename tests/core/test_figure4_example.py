@@ -61,12 +61,12 @@ class TestFigure4InputScheduling:
 
         for cycle in range(9):
             # The idle path returns the shared immutable empty-tuple sentinel.
-            assert list(scheduler.take_departures(cycle)) == []
-        assert scheduler.on_arrival(9, flit) is None  # buffered, not bypassed
+            assert list(scheduler.take_departures(scheduler, cycle)) == []
+        assert scheduler.on_arrival(scheduler, 9, flit) is None  # buffered, not bypassed
         assert scheduler.occupancy == 1
 
         for cycle in range(9, 12):
-            assert list(scheduler.take_departures(cycle)) == []
-        departures = scheduler.take_departures(12)
+            assert list(scheduler.take_departures(scheduler, cycle)) == []
+        departures = scheduler.take_departures(scheduler, 12)
         assert departures == [(flit, EAST)]
         assert scheduler.occupancy == 0

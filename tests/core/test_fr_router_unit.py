@@ -43,12 +43,12 @@ class Rig:
         ctrl_credit = Link(cfg.credit_link_delay, width=4)
         self.left.connect_output(EAST, data, ctrl, adv, ctrl_credit)
         self.right.connect_input(WEST, data, ctrl, adv, ctrl_credit)
-        # NI callbacks on both routers (tests feed the local input directly).
+        # The NI side of both routers (tests feed the local input directly).
         self.ni_advance_credits = []
-        self.ni_control_credits = []
+        self.ni_control_credits = [0] * self.config.control_vcs
         for router in (self.left, self.right):
             router.ni_advance_credit = lambda now, t: self.ni_advance_credits.append(t)
-            router.ni_control_credit = lambda vc: self.ni_control_credits.append(vc)
+            router.ni_control_credits = self.ni_control_credits
         self.cycle = 0
 
     def step(self, cycles=1):
@@ -74,7 +74,7 @@ class TestControlPipeline:
         rig = Rig()
         control, _ = rig.make_packet_flits(destination=1, length=1)
         control[0].arrival_times = [2]  # normally set by the NI's scheduling
-        rig.left.accept_control_flit(INJECT, 0, control[0], 0)
+        rig.left.accept_control_flit(rig.left, INJECT, 0, control[0], 0)
         rig.step()  # cycle 0: processed (reservation committed)
         assert control[0].fully_scheduled()
         assert control[0].forward_at == 1
@@ -88,7 +88,7 @@ class TestControlPipeline:
         rig = Rig()
         control, data = rig.make_packet_flits(destination=1, length=1)
         control[0].arrival_times = [3]  # data flit will reach node 0 at cycle 3
-        rig.left.accept_control_flit(INJECT, 0, control[0], 0)
+        rig.left.accept_control_flit(rig.left, INJECT, 0, control[0], 0)
         rig.step()  # processing commits the reservation
         scheduler = rig.left.input_sched[INJECT]
         assert 3 in scheduler.expected
@@ -100,7 +100,7 @@ class TestControlPipeline:
         rig = Rig()
         control, _ = rig.make_packet_flits(destination=1, length=1)
         control[0].arrival_times = [5]
-        rig.left.accept_control_flit(INJECT, 0, control[0], 0)
+        rig.left.accept_control_flit(rig.left, INJECT, 0, control[0], 0)
         rig.step()
         # The local input's upstream is the NI: it received the departure time.
         assert rig.ni_advance_credits
@@ -110,16 +110,16 @@ class TestControlPipeline:
         rig = Rig()
         control, _ = rig.make_packet_flits(destination=1, length=1)
         control[0].arrival_times = [3]
-        rig.left.accept_control_flit(INJECT, 0, control[0], 0)
+        rig.left.accept_control_flit(rig.left, INJECT, 0, control[0], 0)
         rig.step(2)  # process + forward
-        assert rig.ni_control_credits == [0]
+        assert rig.ni_control_credits == [1, 0]
 
     def test_downstream_credit_consumed_and_restored(self):
         rig = Rig()
         per_vc = rig.config.control_buffers_per_vc
         control, _ = rig.make_packet_flits(destination=1, length=1)
         control[0].arrival_times = [3]
-        rig.left.accept_control_flit(INJECT, 0, control[0], 0)
+        rig.left.accept_control_flit(rig.left, INJECT, 0, control[0], 0)
         rig.step()  # commit consumes one downstream control credit
         assert sum(rig.left.ctrl_credits[EAST]) == 2 * per_vc - 1
         rig.step(6)  # forward, consume at right router, credit returns
@@ -131,8 +131,8 @@ class TestControlPipeline:
         assert len(control) == 2
         for i, flit in enumerate(control):
             flit.arrival_times = [3 + i]
-        rig.left.accept_control_flit(INJECT, 0, control[0], 0)
-        rig.left.accept_control_flit(INJECT, 0, control[1], 0)
+        rig.left.accept_control_flit(rig.left, INJECT, 0, control[0], 0)
+        rig.left.accept_control_flit(rig.left, INJECT, 0, control[1], 0)
         rig.step()
         assert any(rig.left.ctrl_vc_owned[EAST])
         rig.step(4)
@@ -144,7 +144,7 @@ class TestDataPath:
         rig = Rig()
         control, data = rig.make_packet_flits(destination=1, length=1)
         control[0].arrival_times = [2]
-        rig.left.accept_control_flit(INJECT, 0, control[0], 0)
+        rig.left.accept_control_flit(rig.left, INJECT, 0, control[0], 0)
         rig.step(2)
         departure = None
         # Inject the data flit at its expected arrival cycle (2).

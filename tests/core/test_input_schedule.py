@@ -18,14 +18,14 @@ class TestReservations:
         scheduler = InputScheduler(4)
         scheduler.on_reservation(now=0, arrival=5, departure=9, out_port=NORTH)
         flit = make_flit()
-        assert scheduler.on_arrival(5, flit) is None
-        assert scheduler.take_departures(9) == [(flit, NORTH)]
+        assert scheduler.on_arrival(scheduler, 5, flit) is None
+        assert scheduler.take_departures(scheduler, 9) == [(flit, NORTH)]
 
     def test_bypass_when_departure_equals_arrival(self):
         scheduler = InputScheduler(4)
         scheduler.on_reservation(now=0, arrival=5, departure=5, out_port=EAST)
         flit = make_flit()
-        assert scheduler.on_arrival(5, flit) == EAST
+        assert scheduler.on_arrival(scheduler, 5, flit) == EAST
         assert scheduler.occupancy == 0
         assert scheduler.flits_bypassed == 1
 
@@ -34,10 +34,10 @@ class TestReservations:
         pool and is linked when the reservation feedback arrives."""
         scheduler = InputScheduler(4)
         flit = make_flit()
-        assert scheduler.on_arrival(7, flit) is None
+        assert scheduler.on_arrival(scheduler, 7, flit) is None
         assert scheduler.early_arrivals == 1
         scheduler.on_reservation(now=8, arrival=7, departure=11, out_port=EAST)
-        assert scheduler.take_departures(11) == [(flit, EAST)]
+        assert scheduler.take_departures(scheduler, 11) == [(flit, EAST)]
 
     def test_duplicate_arrival_reservation_rejected(self):
         scheduler = InputScheduler(4)
@@ -69,21 +69,21 @@ class TestBufferTurnaround:
         scheduler.on_reservation(now=0, arrival=2, departure=6, out_port=EAST)
         scheduler.on_reservation(now=0, arrival=6, departure=9, out_port=NORTH)
         first, second = make_flit(0), make_flit(1)
-        assert scheduler.on_arrival(2, first) is None
+        assert scheduler.on_arrival(scheduler, 2, first) is None
         assert scheduler.occupancy == 1
-        assert scheduler.take_departures(6) == [(first, EAST)]
-        assert scheduler.on_arrival(6, second) is None  # same cycle reuse
+        assert scheduler.take_departures(scheduler, 6) == [(first, EAST)]
+        assert scheduler.on_arrival(scheduler, 6, second) is None  # same cycle reuse
         assert scheduler.occupancy == 1
-        assert scheduler.take_departures(9) == [(second, NORTH)]
+        assert scheduler.take_departures(scheduler, 9) == [(second, NORTH)]
 
     def test_multiple_departures_same_cycle(self):
         scheduler = InputScheduler(4)
         scheduler.on_reservation(now=0, arrival=2, departure=8, out_port=EAST)
         scheduler.on_reservation(now=0, arrival=3, departure=8, out_port=EJECT)
         a, b = make_flit(0), make_flit(1)
-        scheduler.on_arrival(2, a)
-        scheduler.on_arrival(3, b)
-        departures = scheduler.take_departures(8)
+        scheduler.on_arrival(scheduler, 2, a)
+        scheduler.on_arrival(scheduler, 3, b)
+        departures = scheduler.take_departures(scheduler, 8)
         assert sorted(d[1] for d in departures) == sorted([EAST, EJECT])
 
 
@@ -92,7 +92,7 @@ class TestDiagnostics:
         scheduler = InputScheduler(4)
         scheduler.on_reservation(now=0, arrival=1, departure=1, out_port=EAST)
         scheduler.on_reservation(now=0, arrival=2, departure=5, out_port=EAST)
-        scheduler.on_arrival(1, make_flit(0))
-        scheduler.on_arrival(2, make_flit(1))
+        scheduler.on_arrival(scheduler, 1, make_flit(0))
+        scheduler.on_arrival(scheduler, 2, make_flit(1))
         assert scheduler.flits_bypassed == 1
         assert scheduler.flits_buffered == 1

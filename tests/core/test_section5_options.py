@@ -27,8 +27,8 @@ class TestReadPortTracking:
         scheduler = InputScheduler(4)
         scheduler.on_reservation(now=0, arrival=2, departure=5, out_port=EAST)
         packet = Packet(1, 0, 1, 1, 0)
-        scheduler.on_arrival(2, DataFlit(packet, 0))
-        scheduler.take_departures(5)
+        scheduler.on_arrival(scheduler, 2, DataFlit(packet, 0))
+        scheduler.take_departures(scheduler, 5)
         assert scheduler.departures_at(5) == 0
 
     def test_config_validation(self):

@@ -8,6 +8,7 @@ proven against the old driver rather than against itself.  Regenerate with
 regenerate`` only after an *intentional* change to what a probe measures.
 """
 
+import gc
 import json
 import os
 from pathlib import Path
@@ -15,8 +16,10 @@ from pathlib import Path
 import pytest
 
 from repro.baselines.vc.config import VC8, VCConfig
+from repro.baselines.vc.router import VCRouter
 from repro.baselines.wormhole.network import WormholeConfig
 from repro.core.config import FR6, FRConfig
+from repro.core.router import FRRouter
 from repro.harness.presets import MeasurementPreset
 from repro.harness.saturation import find_saturation, measure_throughput
 from repro.harness.sweep import run_load_sweep
@@ -89,6 +92,32 @@ class TestSweep:
         # The sweep should have stopped at the first saturated point.
         assert len(sweep.points) < 4
         assert sweep.points[-1].saturated
+
+    @pytest.mark.parametrize(
+        "config, router", [(FR6, FRRouter), (VC8, VCRouter)], ids=["FR6", "VC8"]
+    )
+    def test_no_router_outlives_an_in_process_sweep(self, mesh4, config, router):
+        # Nothing collects after the sweep: each finished point's network must
+        # be freed by reference counting the moment the sweep drops it, not
+        # linger until a generation-2 collection.
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            # Held, so no id below is reused by a router the sweep builds.
+            before = [obj for obj in gc.get_objects() if type(obj) is router]
+            known = set(map(id, before))
+            sweep = run_load_sweep(
+                config, [0.1, 0.2, 0.3, 0.4], preset=PROBE_PRESET, mesh=mesh4, jobs=1
+            )
+            alive = sum(
+                1 for obj in gc.get_objects() if type(obj) is router and id(obj) not in known
+            )
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(sweep.points) == 4
+        assert alive == 0, f"{alive} {router.__name__} objects outlived the sweep"
 
 
 def test_regenerate_probe_golden():

@@ -61,7 +61,7 @@ class TestMeasurement:
         network.step(0)
         packet = next(iter(network.packets_in_flight.values()))
         for i in range(packet.length):
-            network._eject_flit(packet, cycle=30 + i)
+            network.accounting.eject_flit(packet, cycle=30 + i)
         assert packet.packet_id not in network.packets_in_flight
         assert network.packets_delivered == 1
         if packet.measured:

@@ -35,6 +35,15 @@ class TestOutputPort:
         assert routing8.output_port(src, mesh8.node_at(2, 5)) == WEST
         assert routing8.output_port(src, mesh8.node_at(5, 2)) == NORTH
 
+    @pytest.mark.parametrize("width, height", [(2, 2), (5, 3), (2, 7), (8, 8), (16, 16)])
+    def test_table_equals_the_per_pair_reference(self, width, height):
+        mesh = Mesh2D(width, height)
+        routing = DimensionOrderRouting(mesh)
+        for node in mesh.nodes():
+            assert list(routing._table[node]) == [
+                routing._compute(node, destination) for destination in mesh.nodes()
+            ]
+
 
 class TestPaths:
     def test_path_length_is_hop_distance(self, mesh8, routing8):
