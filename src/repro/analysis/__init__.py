@@ -1,4 +1,4 @@
-"""Whole-model analysis: deadlock proofs, isolation proofs, order differs.
+"""Whole-model analysis: deadlock proofs, order differs, replay witness.
 
 This subpackage reasons about the simulator *as a model*, complementing the
 per-file lint pass in :mod:`repro.lint` and the runtime
@@ -15,20 +15,14 @@ per-file lint pass in :mod:`repro.lint` and the runtime
 * :mod:`repro.analysis.permute` -- runtime order-permutation differ: the
   phase-order independence gate, re-running a seeded workload per model
   under the natural, reversed and shuffled router evaluation orders and
-  requiring bit-identical results.
-* :mod:`repro.analysis.isolation` -- whole-program determinism & isolation
-  prover: certifies each ``run_experiment``/``run_load_sweep`` entry point
-  a pure function of (config, seed, load) -- shared-mutable-state
-  inventory, RNG seed provenance, unordered-iteration detection -- emits
-  the ``frfc-isolation/1`` certificate gated by
-  ``benchmarks/results/ISOLATION_baseline.json``, backs the D011/D012/D013
-  lint rules, and cross-checks dynamically via spawn/serial digest
-  identity.
-* :mod:`repro.analysis.broken_isolation` -- deliberately
-  isolation-breaking fixtures the prover must catch.
+  requiring bit-identical results; and the replay witness, which requires
+  the same digest for a point run after another point, again, and in two
+  fresh interpreters with distinct hash seeds.
+* :mod:`repro.analysis.isolation` -- a re-export of ``import_closure``
+  under its old path, for ``bench/trace.py``.
 
 Everything here is pure stdlib and imports the simulator's modules only as
 source text (AST) or through their public APIs; analysis never mutates
 model state.  Nothing is re-exported here: importers name the submodule
-they need, so the ledger's code digest does not load the provers.
+they need, so the ledger's code digest does not load the analyzers.
 """

@@ -2,11 +2,11 @@
 
 The one piece of :mod:`repro.analysis` that a *measured* path needs: the run
 ledger hashes a model's import closure into its code digest
-(:meth:`repro.obs.ledger.RunLedger.code_digest`), and the isolation prover
-scans the same closure.  It imports nothing from ``repro``, so a ledgered
-sweep loads this module and none of the provers.
-:mod:`repro.analysis.isolation` imports these names, so they also resolve
-there (``bench/trace.py`` wraps ``repro.analysis.isolation.import_closure``).
+(:meth:`repro.obs.ledger.RunLedger.code_digest`).  It imports nothing from
+``repro``, so a ledgered sweep loads this module and none of the analyzers.
+:mod:`repro.analysis.isolation` re-exports :func:`import_closure`, so it
+also resolves there (``bench/trace.py`` wraps
+``repro.analysis.isolation.import_closure``).
 """
 
 from __future__ import annotations

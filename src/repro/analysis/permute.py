@@ -23,18 +23,37 @@ from streams spawned per node at construction, so a shuffled evaluation
 order replays the exact same per-node random decisions.  If the model were
 instead sharing one stream across actors, every permutation would produce
 a different workload and the differ would (correctly) fail.
+
+The same digest backs the **replay witness** (:func:`run_replay_witness`):
+a point must be a pure function of (config, seed, load), whatever ran
+before it and whichever interpreter runs it.  Per shipped model, and for
+one two-load ``run_load_sweep``, the witness digests the reference point
+four ways -- after a different point in this process, again in this
+process, and in two fresh interpreters with fixed, distinct
+``PYTHONHASHSEED`` values -- and demands one digest.  The first two legs model
+a forked pool worker, which inherits this process's module state and runs
+points back to back; the last two model a ``spawn``-ed worker, which starts
+clean under its own hash seed.  Module-level memos, class-level tallies,
+ambient randomness, ``id()``-keyed orders and string-set orders that reach
+a result all show up as a leg that disagrees.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import os
+import subprocess
+import sys
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from repro.baselines.vc.config import VC8
 from repro.baselines.wormhole.network import WormholeConfig
 from repro.core.config import FR6, FRConfig
 from repro.core.network import FRNetwork
 from repro.harness.experiment import AnyConfig, build_network
+from repro.harness.presets import MeasurementPreset
+from repro.harness.sweep import run_load_sweep
 from repro.sim.invariants import InvariantChecker
 from repro.sim.kernel import Simulator
 from repro.sim.netbase import NetworkModel
@@ -253,3 +272,145 @@ def run_permutation_diff(
                 f"{baseline.eval_order_label} in: {', '.join(differing)}"
             )
     return report
+
+
+#: ``PYTHONHASHSEED`` of the replay witness's two fresh interpreters: fixed
+#: and distinct, so a string-set order that reaches a result fails every
+#: run, not one run in a few.
+REPLAY_HASH_SEEDS = (1, 2)
+
+#: The witness row that replays one ``run_load_sweep`` of FR6 over two loads.
+SWEEP_ROW = "sweep"
+
+#: Just long enough for each sweep point to warm up, sample and drain.
+_SWEEP_PRESET = MeasurementPreset(
+    name="replay",
+    min_warmup=100,
+    warmup_window=50,
+    max_warmup=300,
+    sample_cycles=150,
+    drain_cycles=2_000,
+    throughput_cycles=150,
+)
+
+#: The ``src`` directory this ``repro`` was imported from: the fresh
+#: interpreters import the same tree, edited copies included.
+_SRC = str(Path(__file__).resolve().parents[2])
+
+#: What each fresh interpreter runs: one row's digest, printed.
+_CHILD = (
+    "import sys; sys.path.insert(0, {src!r}); "
+    "from repro.analysis.permute import replay_digest; "
+    "print(replay_digest(*{args!r}))"
+)
+
+
+@dataclass(frozen=True)
+class ReplayReport:
+    """One witness row: the reference point's digest, leg by leg."""
+
+    row: str
+    legs: tuple[tuple[str, str], ...]  # (how the point ran, its digest)
+
+    @property
+    def identical(self) -> bool:
+        return len({digest for _, digest in self.legs}) == 1
+
+    def format(self) -> str:
+        lines = [f"replay: {self.row}"]
+        for label, digest in self.legs:
+            shown = digest[:16] if len(digest) == 64 else digest
+            lines.append(f"  {label:<18} sha256 {shown}")
+        if self.identical:
+            lines.append("  identical: no process state or hash order reaches the result")
+        else:
+            lines.append(f"  DIVERGED: {self.row} depends on more than (config, seed, load)")
+        return "\n".join(lines)
+
+
+def replay_digest(
+    row: str, offered_load: float, seed: int, cycles: int, width: int, height: int
+) -> str:
+    """SHA-256 of one witness row's results, computed in this process.
+
+    A model row is :func:`digest_network` after ``cycles`` cycles; the
+    sweep row covers every field of every point the sweep returns.
+    """
+    mesh = Mesh2D(width, height)
+    if row == SWEEP_ROW:
+        sweep = run_load_sweep(
+            FR6,
+            [offered_load, offered_load + 0.2],
+            seed=seed,
+            preset=_SWEEP_PRESET,
+            mesh=mesh,
+        )
+        payload = repr([asdict(point) for point in sweep.points])
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    config = next(config for config in SHIPPED_CONFIGS if config.name == row)
+    digest = _run_once(
+        config,
+        offered_load,
+        packet_length=5,
+        seed=seed,
+        cycles=cycles,
+        mesh=mesh,
+        eval_order=list(mesh.nodes()),
+        label=row,
+        check_invariants=False,
+    )
+    return digest.hexdigest()
+
+
+def _child_digest(child: "subprocess.Popen[str]") -> str:
+    out, err = child.communicate()
+    if child.returncode:
+        last = err.strip().splitlines()[-1] if err.strip() else "no output"
+        return f"exit {child.returncode}: {last}"
+    return out.strip()
+
+
+def run_replay_witness(
+    offered_load: float = 0.3,
+    seed: int = 7,
+    cycles: int = 300,
+    mesh: Mesh2D | None = None,
+) -> list[ReplayReport]:
+    """Digest each row's reference point four ways; one report per row.
+
+    The rows are the shipped models (FR6, VC8, WH8) and :data:`SWEEP_ROW`.
+    The legs, in order: after the same row at ``seed + 1`` in this process,
+    again in this process, and in one fresh interpreter per
+    :data:`REPLAY_HASH_SEEDS` entry (started first, so they run alongside).
+    A child that fails reports its exit status and last error line as its
+    digest, so a crash is a divergence too.
+    """
+    mesh = mesh or Mesh2D(4, 4)
+    reports: list[ReplayReport] = []
+    for row in [config.name for config in SHIPPED_CONFIGS] + [SWEEP_ROW]:
+        args = (row, offered_load, seed, cycles, mesh.width, mesh.height)
+        command = [sys.executable, "-c", _CHILD.format(src=_SRC, args=args)]
+        children = [
+            subprocess.Popen(
+                command,
+                env={**os.environ, "PYTHONHASHSEED": str(hash_seed)},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for hash_seed in REPLAY_HASH_SEEDS
+        ]
+        try:
+            replay_digest(row, offered_load, seed + 1, cycles, mesh.width, mesh.height)
+            legs = [
+                (f"after seed {seed + 1}", replay_digest(*args)),
+                ("again", replay_digest(*args)),
+            ]
+        finally:
+            digests = [_child_digest(child) for child in children]
+        legs.extend(
+            (f"PYTHONHASHSEED={hash_seed}", digest)
+            for hash_seed, digest in zip(REPLAY_HASH_SEEDS, digests)
+        )
+        reports.append(ReplayReport(row=row, legs=tuple(legs)))
+    return reports

@@ -36,8 +36,7 @@ class InputScheduleError(Exception):
 # the returned sequence, so handing every idle call the same empty tuple
 # avoids an allocation on the dominant path.  A tuple (not a list) so no
 # caller can mutate it and alias state across every InputScheduler in the
-# mesh -- the isolation prover treats a returned module-level list as an
-# escaping global.
+# mesh, and across every run in the process.
 _NO_DEPARTURES: tuple[tuple[DataFlit, int], ...] = ()
 
 #: ``next_departure`` when nothing is scheduled -- later than any real cycle.

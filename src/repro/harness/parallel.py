@@ -1,12 +1,16 @@
 """Parallel cold sweeps by ledger pre-warming.
 
-Sweep points share nothing (the isolation certificate) and the run ledger
-replays verified records byte-identically (the warm/cold gate), so a parallel
-sweep needs no merge logic: :func:`prewarming` arms the ledger so that the
-first absent record fans the sweep's :class:`Call` list out to a process pool
-whose only side effect is writing ``frfc-runrecord/1`` files, and the
-unchanged serial loop then replays them.  A warm sweep never misses, so it
-never starts a pool and pays nothing.
+A point's result is a pure function of (config, seed, load) -- checked by
+running it: the replay witness (:func:`repro.analysis.permute.run_replay_witness`)
+demands one digest after a different point in the same process, which is what
+a forked worker inherits, and in fresh interpreters under two hash seeds, which
+is what a ``spawn`` worker starts as.  The run ledger replays verified records
+byte-identically (the warm/cold gate), so a parallel sweep needs no merge
+logic: :func:`prewarming` arms the ledger so that the first absent record
+fans the sweep's :class:`Call` list out to a process pool whose only side
+effect is writing ``frfc-runrecord/1`` files, and the unchanged serial loop
+then replays them.  A warm sweep never misses, so it never starts a pool and
+pays nothing.
 """
 
 from __future__ import annotations

@@ -678,16 +678,18 @@ def _run_analysis_gates() -> None:
     dependency graph on the experiment mesh (deadlock freedom).  Gate 2:
     one seeded 4x4 run per shipped model (FR6, VC8, WH8) is bit-identical
     under the natural, reversed and shuffled router evaluation orders
-    (phase-order independence).  Gate 3: every ``run_experiment``/
-    ``run_load_sweep`` entry point certifies isolated -- a pure function
-    of (config, seed, load), no shared mutable state, traceable RNG
-    provenance, ordered iteration.  Gates 1 and 3 are pure analysis; gate
-    2 simulates 300 cycles four times per model, about half a second in
-    all.
+    (phase-order independence), and replays to the same digest -- as does
+    a two-load sweep -- after a different point, again, and in two fresh
+    interpreters with distinct hash seeds (a point is a pure function of
+    config, seed and load).  Gate 1 is pure analysis; gate 2 runs for about
+    three seconds in all.
     """
     from repro.analysis.cdg import prove_deadlock_freedom
-    from repro.analysis.isolation import analyze_entry_points
-    from repro.analysis.permute import SHIPPED_CONFIGS, run_permutation_diff
+    from repro.analysis.permute import (
+        SHIPPED_CONFIGS,
+        run_permutation_diff,
+        run_replay_witness,
+    )
     from repro.topology.mesh import Mesh2D
     from repro.topology.routing import DimensionOrderRouting
 
@@ -699,12 +701,12 @@ def _run_analysis_gates() -> None:
         report = run_permutation_diff(config)
         if not report.identical:
             raise SystemExit(f"--analyze: phases order-dependent\n{report.format()}")
-    for entry in analyze_entry_points():
-        if entry.findings:
-            raise SystemExit(f"--analyze: isolation violated\n{entry.render()}")
+    for replay in run_replay_witness():
+        if not replay.identical:
+            raise SystemExit(f"--analyze: replay diverged\n{replay.format()}")
     print(
         "analyze: xy routing deadlock-free on 8x8; FR/VC/WH phases order-independent; "
-        "entry points isolation-certified"
+        "FR/VC/WH points and a sweep replay identically"
     )
 
 
@@ -762,9 +764,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--analyze",
         action="store_true",
-        help="before running, prove the routing deadlock-free (CDG), the "
-        "network phase loops order-independent (by running them), and the "
-        "run_experiment/run_load_sweep entry points isolation-certified "
+        help="before running, prove the routing deadlock-free (CDG), and check "
+        "by running them that the network phase loops are order-independent and "
+        "that a point replays identically in this and fresh interpreters "
         "(see docs/static-analysis.md)",
     )
     parser.set_defaults(root_flags={group: group(parser) for group in ROOT_FLAGS})

@@ -6,7 +6,7 @@ per rule below, ``ALL_RULES`` at the bottom; the catalogue -- what each id
 rejects and why it matters here -- is the table in
 ``docs/static-analysis.md`` (a test holds it equal to ``ALL_RULES``), and
 ``frfc-lint --list-rules`` prints the one-line summaries.  The ids have gaps
-(D007, D009, D010): retired rules keep their numbers.
+(D007, D009, D010, D011, D012, D013): retired rules keep their numbers.
 
 Any rule can be silenced on a single line with ``# frfc-lint: disable=Dxxx``
 or on the following line with ``# frfc-lint: disable-next-line=Dxxx``.
@@ -149,12 +149,7 @@ class NoBareSetIteration(Rule):
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
-            iterables: list[ast.expr] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iterables.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                iterables.extend(generator.iter for generator in node.generators)
-            for iterable in iterables:
+            for iterable in _iterables(node):
                 if self._is_bare_set(iterable):
                     yield self.finding(
                         path,
@@ -162,6 +157,20 @@ class NoBareSetIteration(Rule):
                         "iteration over a bare set is hash-order nondeterministic; "
                         "iterate a list/tuple or wrap in sorted()",
                     )
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            scope = list(_own_scope(node))
+            names = self._set_only_locals(node, scope)
+            for inner in scope if names else ():
+                for iterable in _iterables(inner):
+                    if isinstance(iterable, ast.Name) and iterable.id in names:
+                        yield self.finding(
+                            path,
+                            iterable,
+                            f"`{iterable.id}` is only ever bound to a set here, so "
+                            "iterating it is hash-order nondeterministic; iterate "
+                            f"sorted({iterable.id})",
+                        )
 
     @staticmethod
     def _is_bare_set(node: ast.expr) -> bool:
@@ -169,12 +178,72 @@ class NoBareSetIteration(Rule):
             return True
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             return node.func.id in ("set", "frozenset")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_ALGEBRA):
             # Set algebra (union/intersection/difference) of sets is a set.
             return NoBareSetIteration._is_bare_set(node.left) or NoBareSetIteration._is_bare_set(
                 node.right
             )
         return False
+
+    @staticmethod
+    def _set_only_locals(
+        function: ast.FunctionDef | ast.AsyncFunctionDef, scope: list[ast.AST]
+    ) -> set[str]:
+        """Names ``function`` binds, and binds only to a bare set expression.
+
+        A parameter, a loop or ``with`` target and any assignment of
+        something else (``names = sorted(names)``) make a name an unknown;
+        in-place set algebra (``names |= other``) keeps it a set.
+        """
+        arguments = function.args
+        other = {
+            arg.arg
+            for arg in (
+                *arguments.posonlyargs,
+                *arguments.args,
+                *arguments.kwonlyargs,
+                arguments.vararg,
+                arguments.kwarg,
+            )
+            if arg is not None
+        }
+        set_targets: set[ast.AST] = set()
+        for node in scope:
+            if isinstance(node, ast.Assign) and NoBareSetIteration._is_bare_set(node.value):
+                set_targets.update(node.targets)
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                if NoBareSetIteration._is_bare_set(node.value):
+                    set_targets.add(node.target)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, _SET_ALGEBRA):
+                set_targets.add(node.target)
+        bound_to_set: set[str] = set()
+        for node in scope:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                (bound_to_set if node in set_targets else other).add(node.id)
+        return bound_to_set - other
+
+
+#: Binary operators that keep a set a set.
+_SET_ALGEBRA = (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)
+
+
+def _iterables(node: ast.AST) -> list[ast.expr]:
+    """What ``node`` iterates: a loop's iterable, a comprehension's each."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [node.iter]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        return [generator.iter for generator in node.generators]
+    return []
+
+
+def _own_scope(function: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[ast.AST]:
+    """Every node of ``function``'s body, not descending into nested scopes."""
+    stack: list[ast.AST] = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 class ErrorsCarryMessages(Rule):
@@ -373,80 +442,6 @@ class NoPrintInSimulator(Rule):
                 )
 
 
-#: Finding categories from the isolation analyzer, split per rule.  The
-#: ``default-alias`` category is deliberately absent: D004 already owns
-#: mutable default arguments per-file.
-_D011_CATEGORIES = frozenset(
-    {"global-write", "global-escape", "class-mutable-write", "functools-cache"}
-)
-_D013_CATEGORIES = frozenset({"unordered-iteration", "id-keyed"})
-
-
-class NoSharedMutableState(Rule):
-    """D011: no writes to or escapes of module/class-level mutable state."""
-
-    rule_id = "D011"
-    summary = "module/class-level mutable state written or escaping"
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        # Imported lazily: the prover is heavyweight, and a plain lint run
-        # should not pay for it unless a file actually gets here.
-        from repro.analysis.isolation import analyze_module_isolation_ast
-
-        for hit in analyze_module_isolation_ast(tree, path):
-            if hit.category not in _D011_CATEGORIES:
-                continue
-            yield Finding(
-                path=path,
-                line=hit.line,
-                column=0,
-                rule_id=self.rule_id,
-                message=f"[{hit.category}] in {hit.qualname}: {hit.detail}",
-            )
-
-
-class RngProvenanceTraceable(Rule):
-    """D012: every stochastic draw must trace to a seeded DeterministicRng."""
-
-    rule_id = "D012"
-    summary = "RNG draw with untraceable seed provenance"
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        from repro.analysis.isolation import analyze_module_isolation_ast
-
-        for hit in analyze_module_isolation_ast(tree, path):
-            if hit.category != "rng-untraced":
-                continue
-            yield Finding(
-                path=path,
-                line=hit.line,
-                column=0,
-                rule_id=self.rule_id,
-                message=f"in {hit.qualname}: {hit.detail}",
-            )
-
-
-class NoUnorderedIterationToDigest(Rule):
-    """D013: no hash/identity-ordered iteration that can reach a digest."""
-
-    rule_id = "D013"
-    summary = "digest-hazardous unordered iteration or identity-keyed container"
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        from repro.analysis.isolation import analyze_module_isolation_ast
-
-        for hit in analyze_module_isolation_ast(tree, path):
-            if hit.category not in _D013_CATEGORIES:
-                continue
-            yield Finding(
-                path=path,
-                line=hit.line,
-                column=0,
-                rule_id=self.rule_id,
-                message=f"[{hit.category}] in {hit.qualname}: {hit.detail}",
-            )
-
-
 class ResultWritesAreAtomic(Rule):
     """D014: result-bearing writes flow through the atomic writers."""
 
@@ -512,8 +507,5 @@ ALL_RULES: tuple[Rule, ...] = (
     PublicFunctionsAnnotated(),
     NoForeignPrivateState(),
     NoPrintInSimulator(),
-    NoSharedMutableState(),
-    RngProvenanceTraceable(),
-    NoUnorderedIterationToDigest(),
     ResultWritesAreAtomic(),
 )

@@ -3,7 +3,7 @@
 Every harness run can be identified *before it executes*: its configuration,
 offered load, seed, measurement preset, topology, traffic parameters, the
 checkout's git SHA, and a **code digest** over the model's import closure
-(reusing the isolation prover's closure walker, so editing a module that the
+(:func:`repro.analysis.imports.import_closure`, so editing a module that the
 model can actually reach invalidates exactly the affected models and nothing
 else).  The ledger keys each run record by the SHA-256 of that canonicalised
 identity and stores it as one JSON file under ``.frfc/runs/``.
@@ -64,7 +64,7 @@ DEFAULT_STORE = ".frfc/runs"
 #: so ``scan``, ``resolve`` and every "is the store filled" glob pass it by.
 _MEMO_NAME = "imports.memo"
 
-#: Config dataclass name -> the isolation prover's model kind.
+#: Config dataclass name -> its model kind (a key of ``MODEL_MODULES``).
 _CONFIG_MODELS = {
     "FRConfig": "FR",
     "VCConfig": "VC",
@@ -181,8 +181,8 @@ class RunLedger:
     """Content-addressed run records under one store directory.
 
     The instance keeps per-process caches of the git SHA and per-model code
-    digests (instance state, never module state -- the isolation prover
-    forbids cross-run module caches) plus hit/miss/corrupt counters that the
+    digests (instance state, never module state: a module cache would be
+    shared by every run in the process) plus hit/miss/corrupt counters that the
     sweep harness and CLI surface as telemetry.
 
     Parallel sweeps (:mod:`repro.harness.parallel`) ride on three more
@@ -222,11 +222,10 @@ class RunLedger:
     def code_digest(self, model: str) -> str:
         """Digest of every source file the model's harness entry can reach.
 
-        Reuses the isolation analyzer's import-closure walker with the same
-        per-model stop-sets, rooted at ``repro.harness.experiment`` plus the
-        model's own modules -- so an edit to e.g. the VC router changes the
-        VC digest (forcing VC re-simulation) while FR and wormhole records
-        keep hitting.
+        Walks the import closure rooted at ``repro.harness.experiment`` plus
+        the model's own modules, stopping at the other models' modules -- so
+        an edit to e.g. the VC router changes the VC digest (forcing VC
+        re-simulation) while FR and wormhole records keep hitting.
         """
         cached = self._code_digests.get(model)
         if cached is not None:

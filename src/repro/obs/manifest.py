@@ -5,8 +5,8 @@ configuration (as a plain dict), the measurement preset, the seed, and the
 source tree's git SHA.  The manifest is deterministic for a given checkout:
 the git SHA is re-read from the repository this package was imported from
 on every call (manifests are written once per run, so there is no cache --
-caching would be module-global state shared across sweep points, which the
-isolation prover forbids), and no wall-clock timestamp is recorded
+caching would be module-global state shared across sweep points, which a
+point's result must never depend on), and no wall-clock timestamp is recorded
 (reproducibility beats provenance-by-date; the SHA *is* the provenance).
 """
 

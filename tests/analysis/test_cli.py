@@ -46,6 +46,9 @@ class TestPermuteCommand:
         assert out.count("bit-identical") == 3
         for name in ("FR6", "VC8", "WH8"):
             assert f"order-permutation diff: {name}," in out
+        for row in ("FR6", "VC8", "WH8", "sweep"):
+            assert f"replay: {row}\n" in out
+        assert out.count("identical: no process state") == 4
 
     def test_order_dependence_exit_one_names_the_model(self, cli, monkeypatch, capsys):
         from repro.analysis import permute
@@ -64,80 +67,17 @@ class TestPermuteCommand:
         assert "MISMATCH: reversed differs" in captured.out
         assert "evaluation order changes results in VC8" in captured.err
 
+    def test_replay_divergence_exit_one_names_the_model(self, cli, monkeypatch, capsys):
+        from repro.analysis import permute
+        from repro.analysis.permute import ReplayReport
 
-class TestIsolationCommand:
-    def test_reports_all_entry_points_certified(self, cli, capsys):
-        assert cli.main(["isolation"]) == 0
-        out = capsys.readouterr().out
-        for name in (
-            "run_experiment[FR]",
-            "run_experiment[VC]",
-            "run_experiment[WH]",
-            "run_load_sweep",
-        ):
-            assert f"{name}: CERTIFIED" in out
+        def wh_diverges(**kwargs):
+            same = (("again", "a" * 64), ("PYTHONHASHSEED=1", "a" * 64))
+            split = (("again", "a" * 64), ("PYTHONHASHSEED=1", "b" * 64))
+            return [ReplayReport("VC8", same), ReplayReport("WH8", split)]
 
-    def test_json_emits_certificate_document(self, cli, capsys):
-        import json
-
-        assert cli.main(["isolation", "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == "frfc-isolation/1"
-        assert set(document["entry_points"]) == {
-            "run_experiment[FR]",
-            "run_experiment[VC]",
-            "run_experiment[WH]",
-            "run_load_sweep",
-        }
-
-    def test_committed_certificate_gate_green(self, cli, capsys):
-        baseline = REPO / "benchmarks" / "results" / "ISOLATION_baseline.json"
-        assert baseline.exists(), "ISOLATION_baseline.json must be committed"
-        assert (
-            cli.main(
-                ["isolation", "--check-budget", str(baseline), "--fail-on-new"]
-            )
-            == 0
-        )
-        assert "isolation certificate OK" in capsys.readouterr().out
-
-    def test_write_then_check_roundtrip(self, cli, capsys, tmp_path):
-        certificate = tmp_path / "certificate.json"
-        assert cli.main(["isolation", "--write-budget", str(certificate)]) == 0
-        assert certificate.exists()
-        assert cli.main(["isolation", "--check-budget", str(certificate)]) == 0
-
-    def test_missing_certificate_exit_one(self, cli, tmp_path):
-        missing = tmp_path / "nope.json"
-        assert cli.main(["isolation", "--check-budget", str(missing)]) == 1
-
-    def test_broken_fixture_entry_violated_exit_one(self, cli, capsys):
-        assert (
-            cli.main(
-                ["isolation", "--entry", "repro.analysis.broken_isolation:drive"]
-            )
-            == 1
-        )
-        out = capsys.readouterr().out
-        assert "VIOLATED" in out
-        for category in (
-            "rng-untraced",
-            "global-write",
-            "class-mutable-write",
-            "id-keyed",
-            "unordered-iteration",
-        ):
-            assert category in out
-
-    def test_bad_entry_spec_rejected(self, cli):
-        with pytest.raises(SystemExit):
-            cli.main(["isolation", "--entry", "no-colon-here"])
-
-    def test_verify_spawn_digests_identical(self, cli, capsys):
-        assert cli.main(["isolation", "--verify", "--cycles", "240"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("identical") == 3
-
-    def test_verify_empty_window_reported_not_raised(self, cli):
-        with pytest.raises(SystemExit, match=r"^frfc-analyze: empty measurement window"):
-            cli.main(["isolation", "--verify", "--cycles", "0"])
+        monkeypatch.setattr(permute, "run_replay_witness", wh_diverges)
+        assert cli.main(["permute", "--orders", "2", "--cycles", "60"]) == 1
+        captured = capsys.readouterr()
+        assert "DIVERGED: WH8" in captured.out
+        assert "replay diverged in WH8" in captured.err

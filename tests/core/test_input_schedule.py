@@ -96,3 +96,12 @@ class TestDiagnostics:
         scheduler.on_arrival(scheduler, 2, make_flit(1))
         assert scheduler.flits_bypassed == 1
         assert scheduler.flits_buffered == 1
+
+
+class TestSharedSentinel:
+    def test_no_departures_sentinel_is_immutable(self):
+        # Every idle take_departures returns this one object; a list would
+        # let one caller's mutation reach every scheduler in every run.
+        from repro.core import input_schedule
+
+        assert isinstance(input_schedule._NO_DEPARTURES, tuple)

@@ -42,7 +42,7 @@ class TestUtilizationCommand:
 
 
 class TestAnalyzeGate:
-    """`frfc --analyze` runs the cdg + permute + isolation gates up front."""
+    """`frfc --analyze` runs the cdg + permute/replay gates up front."""
 
     def test_gate_passes_and_names_all_three_proofs(self, capsys):
         assert (
@@ -54,7 +54,7 @@ class TestAnalyzeGate:
         out = capsys.readouterr().out
         assert "deadlock-free" in out
         assert "order-independent" in out
-        assert "isolation-certified" in out
+        assert "replay identically" in out
 
     def test_gate_aborts_on_order_dependence(self, monkeypatch):
         from repro.analysis import permute
@@ -74,30 +74,16 @@ class TestAnalyzeGate:
                 ["--analyze", "trace", "FR6", "--packet", "1", "--cycles", "200"]
             )
 
-    def test_gate_aborts_on_isolation_violation(self, monkeypatch, capsys):
-        from repro.analysis import isolation
-        from repro.analysis.isolation import EntryPointReport, IsolationFinding
+    def test_gate_aborts_on_replay_divergence(self, monkeypatch):
+        from repro.analysis import permute
+        from repro.analysis.permute import ReplayReport
 
-        violated = EntryPointReport(
-            name="run_experiment[FR]",
-            module="repro.harness.experiment",
-            function="run_experiment",
-            model="FR",
-            modules=("repro.harness.experiment",),
-            read_only_globals=(),
-            traced_draws=0,
-            findings=(
-                IsolationFinding(
-                    category="global-write",
-                    path="src/repro/core/fake.py",
-                    line=3,
-                    qualname="fake.f",
-                    detail="a seeded violation",
-                ),
-            ),
-        )
-        monkeypatch.setattr(isolation, "analyze_entry_points", lambda: [violated])
-        with pytest.raises(SystemExit, match="isolation violated"):
+        def diverged():
+            legs = (("again", "a" * 64), ("PYTHONHASHSEED=2", "b" * 64))
+            return [ReplayReport(row="VC8", legs=legs)]
+
+        monkeypatch.setattr(permute, "run_replay_witness", diverged)
+        with pytest.raises(SystemExit, match=r"(?s)replay diverged.*DIVERGED: VC8"):
             runner.main(
                 ["--analyze", "trace", "FR6", "--packet", "1", "--cycles", "200"]
             )

@@ -9,6 +9,7 @@ simulations replayed byte-identically) live in
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.obs.ledger as ledger_module
-from repro.analysis.isolation import MODEL_MODULES, SourceResolver, import_closure
+from repro.analysis.imports import MODEL_MODULES, import_closure, raw_imports
 from repro.core.config import FR6, FR13
 from repro.baselines.vc.config import VC8
 from repro.harness.experiment import ExperimentResult
@@ -313,14 +314,20 @@ def _edited_tree():
         yield edits
 
 
-class _ParsingResolver(SourceResolver):
+class _ParsingResolver:
     """The reference: no memo, every module read through the seam and parsed."""
 
-    def module_source(self, module: str):
-        return ledger_module._module_source(module)
+    def __init__(self) -> None:
+        self._imports: dict[str, list | None] = {}
+
+    def module_imports(self, module: str):
+        if module not in self._imports:
+            source = ledger_module._module_source(module)
+            self._imports[module] = None if source is None else raw_imports(ast.parse(source))
+        return self._imports[module]
 
 
-def _members(model: str, resolver: SourceResolver) -> set[str]:
+def _members(model: str, resolver: _ParsingResolver) -> set[str]:
     """What ``code_digest(model)`` covers, walked without the memo."""
     stop = frozenset(
         module

@@ -217,3 +217,20 @@ class TestAttributionSession:
         assert session.attributor is not None  # ...but the probe fed records
         assert session.attributor.records
         assert set(artifacts) == {"attribution", "manifest"}
+
+
+def test_git_sha_has_no_module_cache() -> None:
+    """A module-level SHA cache would be state shared by every run in a process."""
+    import ast
+
+    import repro.obs.manifest as manifest
+
+    assert not hasattr(manifest, "_git_sha_cache")
+    tree = ast.parse(Path(manifest.__file__).read_text())
+    mutable_globals = [
+        stmt
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        and isinstance(getattr(stmt, "value", None), (ast.Dict, ast.List, ast.Set))
+    ]
+    assert mutable_globals == []
