@@ -41,7 +41,3 @@ def record():
 
     return _record
 
-
-def once(benchmark, function):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(function, iterations=1, rounds=1)

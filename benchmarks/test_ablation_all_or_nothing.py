@@ -15,7 +15,6 @@ data flits -- the open cross-dependency the paper's Section 5 flags.
 
 from dataclasses import replace
 
-from benchmarks.conftest import once
 from repro.core.config import FRConfig
 from repro.harness.experiment import run_experiment
 
@@ -28,7 +27,7 @@ WIDE = FRConfig(
 LOAD = 0.72
 
 
-def test_per_flit_beats_all_or_nothing(benchmark, record, preset):
+def test_per_flit_beats_all_or_nothing(record, preset):
     def run():
         per_flit = run_experiment(WIDE, LOAD, seed=2, preset=preset)
         all_or_nothing = run_experiment(
@@ -39,7 +38,7 @@ def test_per_flit_beats_all_or_nothing(benchmark, record, preset):
         )
         return per_flit, all_or_nothing
 
-    per_flit, all_or_nothing = once(benchmark, run)
+    per_flit, all_or_nothing = run()
     record(
         "ablation_all_or_nothing",
         f"offered load {LOAD:.2f} of capacity, d=4, 6-buffer pools\n"

@@ -8,7 +8,6 @@ no transfer mechanism at all -- it never needs one).  The benchmark counts
 the transfers the at-reservation policy would perform under load.
 """
 
-from benchmarks.conftest import once
 from repro.core.config import FRConfig
 from repro.core.network import FRNetwork
 from repro.sim.kernel import Simulator
@@ -20,7 +19,7 @@ LOAD_RATE = 0.070  # ~71% of 8x8 capacity with 5-flit packets
 CYCLES = 4_000
 
 
-def test_at_reservation_policy_needs_transfers(benchmark, record):
+def test_at_reservation_policy_needs_transfers(record):
     def run():
         network = FRNetwork(CONFIG, injection_rate=LOAD_RATE, seed=2)
         simulator = Simulator(network)
@@ -33,7 +32,7 @@ def test_at_reservation_policy_needs_transfers(benchmark, record):
         )
         return network.buffer_transfer_count(), moved
 
-    transfers, buffered_flits = once(benchmark, run)
+    transfers, buffered_flits = run()
     rate = transfers / buffered_flits * 1000 if buffered_flits else 0.0
     record(
         "ablation_alloc_policy",

@@ -9,14 +9,13 @@ since simultaneous same-input departures are rare under uniform traffic.
 
 from dataclasses import replace
 
-from benchmarks.conftest import once
 from repro.core.config import FR6
 from repro.harness.experiment import run_experiment
 
 LOAD = 0.72
 
 
-def test_multiported_input_buffers(benchmark, record, preset):
+def test_multiported_input_buffers(record, preset):
     def run():
         single = run_experiment(FR6, LOAD, seed=2, preset=preset)
         multi = run_experiment(
@@ -24,7 +23,7 @@ def test_multiported_input_buffers(benchmark, record, preset):
         )
         return single, multi
 
-    single, multi = once(benchmark, run)
+    single, multi = run()
     record(
         "ablation_read_ports",
         f"offered load {LOAD:.2f} of capacity, 5-flit packets (FR6)\n"

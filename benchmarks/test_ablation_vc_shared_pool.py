@@ -8,14 +8,13 @@ flit-reservation flow control its edge; the advance scheduling is.
 
 from dataclasses import replace
 
-from benchmarks.conftest import once
 from repro.baselines.vc.config import VC8
 from repro.harness.saturation import measure_throughput
 
 LOADS = [0.55, 0.63, 0.70]
 
 
-def test_shared_pool_gives_no_throughput_gain(benchmark, record, preset):
+def test_shared_pool_gives_no_throughput_gain(record, preset):
     def run():
         rows = []
         for load in LOADS:
@@ -26,7 +25,7 @@ def test_shared_pool_gives_no_throughput_gain(benchmark, record, preset):
             rows.append((load, private, pooled))
         return rows
 
-    rows = once(benchmark, run)
+    rows = run()
     text = ["VC8 private per-VC queues vs shared pool (accepted/capacity)"]
     for load, private, pooled in rows:
         text.append(f"offered {load:.2f}: private {private:.3f}  pooled {pooled:.3f}")

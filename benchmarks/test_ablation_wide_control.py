@@ -8,7 +8,6 @@ pays a VCID; with d=4 the VCID is amortised (lower bandwidth overhead,
 machinery and coarser scheduling.
 """
 
-from benchmarks.conftest import once
 from repro.core.config import FR6, FRConfig
 from repro.harness.saturation import measure_throughput
 from repro.overhead.bandwidth import fr_bandwidth
@@ -17,13 +16,13 @@ WIDE = FRConfig(data_buffers_per_input=6, control_vcs=2, data_flits_per_control=
 LOAD = 0.65
 
 
-def test_wide_control_flits(benchmark, record, preset):
+def test_wide_control_flits(record, preset):
     def run():
         narrow = measure_throughput(FR6, LOAD, seed=2, preset=preset)
         wide = measure_throughput(WIDE, LOAD, seed=2, preset=preset)
         return narrow, wide
 
-    narrow, wide = once(benchmark, run)
+    narrow, wide = run()
     narrow_bw = fr_bandwidth(FR6, 5).bits_per_data_flit
     wide_bw = fr_bandwidth(WIDE, 5).bits_per_data_flit
     record(

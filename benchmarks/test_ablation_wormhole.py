@@ -6,7 +6,6 @@ channel flow control, which in turn sits below flit-reservation -- the
 historical progression the paper's Section 2 narrates.
 """
 
-from benchmarks.conftest import once
 from repro.baselines.vc.config import VC8
 from repro.baselines.wormhole.network import WormholeConfig
 from repro.core.config import FR6
@@ -15,7 +14,7 @@ from repro.harness.saturation import measure_throughput
 LOAD = 0.70
 
 
-def test_wormhole_vc_fr_progression(benchmark, record, preset):
+def test_wormhole_vc_fr_progression(record, preset):
     def run():
         wormhole = measure_throughput(
             WormholeConfig(buffers_per_input=8), LOAD, seed=2, preset=preset
@@ -24,7 +23,7 @@ def test_wormhole_vc_fr_progression(benchmark, record, preset):
         fr = measure_throughput(FR6, LOAD, seed=2, preset=preset)
         return wormhole, vc, fr
 
-    wormhole, vc, fr = once(benchmark, run)
+    wormhole, vc, fr = run()
     record(
         "ablation_wormhole",
         f"accepted throughput at {LOAD:.2f} offered (fraction of capacity)\n"

@@ -9,12 +9,12 @@ Shape claims reproduced (paper Section 4.1):
 
 import math
 
-from benchmarks.conftest import LOADS_5FLIT, once
+from benchmarks.conftest import LOADS_5FLIT
 from repro.harness.figures import figure5
 
 
-def test_figure5_curves(benchmark, record, preset):
-    result = once(benchmark, lambda: figure5(preset=preset, loads=LOADS_5FLIT))
+def test_figure5_curves(record, preset):
+    result = figure5(preset=preset, loads=LOADS_5FLIT)
     record("fig5_latency_5flit", result.format())
 
     vc8, vc16 = result.curve("VC8"), result.curve("VC16")

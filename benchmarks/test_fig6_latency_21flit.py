@@ -8,12 +8,12 @@ Shape claims (paper Section 4.2):
   length, blocked packets pin buffers and turnaround cannot help.
 """
 
-from benchmarks.conftest import LOADS_21FLIT, once
+from benchmarks.conftest import LOADS_21FLIT
 from repro.harness.figures import figure6
 
 
-def test_figure6_curves(benchmark, record, preset):
-    result = once(benchmark, lambda: figure6(preset=preset, loads=LOADS_21FLIT))
+def test_figure6_curves(record, preset):
+    result = figure6(preset=preset, loads=LOADS_21FLIT)
     record("fig6_latency_21flit", result.format())
 
     vc32 = result.curve("VC32")

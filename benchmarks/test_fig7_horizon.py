@@ -5,17 +5,13 @@ Shape claim: throughput is relatively insensitive to the horizon -- a
 32 cycles.
 """
 
-from benchmarks.conftest import once
 from repro.harness.figures import figure7
 
 LOADS = [0.30, 0.60, 0.72, 0.80]
 
 
-def test_figure7_horizon_insensitivity(benchmark, record, preset):
-    result = once(
-        benchmark,
-        lambda: figure7(preset=preset, loads=LOADS, horizons=(16, 32, 64, 128)),
-    )
+def test_figure7_horizon_insensitivity(record, preset):
+    result = figure7(preset=preset, loads=LOADS, horizons=(16, 32, 64, 128))
     record("fig7_horizon", result.format())
 
     def deepest_stable(curve):

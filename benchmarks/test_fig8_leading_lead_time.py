@@ -7,16 +7,13 @@ Shape claims (paper Section 4.4):
 * deferring data up to 4 cycles barely moves overall latency.
 """
 
-from benchmarks.conftest import once
 from repro.harness.figures import figure8
 
 LOADS = [0.30, 0.55, 0.70, 0.78]
 
 
-def test_figure8_lead_time_independence(benchmark, record, preset):
-    result = once(
-        benchmark, lambda: figure8(preset=preset, loads=LOADS, leads=(1, 2, 4))
-    )
+def test_figure8_lead_time_independence(record, preset):
+    result = figure8(preset=preset, loads=LOADS, leads=(1, 2, 4))
     record("fig8_leading_lead_time", result.format())
 
     def deepest_stable(curve):

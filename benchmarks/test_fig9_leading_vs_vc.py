@@ -11,12 +11,12 @@ Shape claims (paper Section 4.4):
 
 import pytest
 
-from benchmarks.conftest import LOADS_5FLIT, once
+from benchmarks.conftest import LOADS_5FLIT
 from repro.harness.figures import figure9
 
 
-def test_figure9_leading_vs_vc(benchmark, record, preset):
-    result = once(benchmark, lambda: figure9(preset=preset, loads=LOADS_5FLIT))
+def test_figure9_leading_vs_vc(record, preset):
+    result = figure9(preset=preset, loads=LOADS_5FLIT)
     record("fig9_leading_vs_vc", result.format())
 
     fr6 = result.curve("FR6/lead=1")

@@ -4,12 +4,11 @@ tracked ~40%) while VC8 saturates with its pool full under ~5% of cycles --
 flit-reservation keeps buffers *working*, VC leaves them idling in
 turnaround."""
 
-from benchmarks.conftest import once
 from repro.harness.figures import section42_occupancy
 
 
-def test_section42_occupancy(benchmark, record, preset):
-    result = once(benchmark, lambda: section42_occupancy(preset=preset))
+def test_section42_occupancy(record, preset):
+    result = section42_occupancy(preset=preset)
     record("sec42_occupancy", result.format())
 
     fr_full = result.notes["FR6 fraction of cycles pool full"]

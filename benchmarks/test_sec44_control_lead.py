@@ -4,14 +4,11 @@ paper saw ~14 cycles with a 1-cycle lead vs ~15 with a 4-cycle lead at 77%
 of capacity) -- congestion on the data network, not the injection offset,
 creates the headroom for advance scheduling."""
 
-from benchmarks.conftest import once
 from repro.harness.figures import section44_control_lead
 
 
-def test_section44_control_lead(benchmark, record, preset):
-    result = once(
-        benchmark, lambda: section44_control_lead(preset=preset, leads=(1, 4))
-    )
+def test_section44_control_lead(record, preset):
+    result = section44_control_lead(preset=preset, leads=(1, 4))
     record("sec44_control_lead", result.format())
 
     lead1 = result.notes["lead=1 mean control lead (cycles)"]

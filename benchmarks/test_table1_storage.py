@@ -2,12 +2,11 @@
 control.  Analytical -- regenerated exactly, and checked cell-for-cell
 against the published numbers."""
 
-from benchmarks.conftest import once
 from repro.harness.tables import format_table1, table1
 
 
-def test_table1_storage(benchmark, record):
-    rows = once(benchmark, table1)
+def test_table1_storage(record):
+    rows = table1()
     text = format_table1(rows)
     record("table1_storage", text)
 

@@ -2,12 +2,11 @@
 
 import pytest
 
-from benchmarks.conftest import once
 from repro.harness.tables import format_table2, table2
 
 
-def test_table2_bandwidth(benchmark, record):
-    rows = once(benchmark, table2)
+def test_table2_bandwidth(record):
+    rows = table2()
     record("table2_bandwidth", format_table2(rows))
 
     # The paper's headline: FR pays 5 extra bits (the log2(32) arrival-time

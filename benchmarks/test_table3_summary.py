@@ -15,15 +15,11 @@ throughput          77%    85%    63%    80%    85%
 
 import pytest
 
-from benchmarks.conftest import once
 from repro.harness.tables import table3
 
 
-def test_table3_summary(benchmark, record, preset):
-    result = once(
-        benchmark,
-        lambda: table3(preset=preset, packet_lengths=(5,), include_leading=True),
-    )
+def test_table3_summary(record, preset):
+    result = table3(preset=preset, packet_lengths=(5,), include_leading=True)
     record("table3_summary", result.format())
 
     fr6 = result.find("fast", "FR6", 5)

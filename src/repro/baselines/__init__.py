@@ -6,8 +6,3 @@
 * :mod:`repro.baselines.wormhole` -- wormhole flow control (Dally & Seitz
   1986), the historical baseline from the related-work section.
 """
-
-from repro.baselines.vc import VCConfig, VCNetwork
-from repro.baselines.wormhole import WormholeConfig, WormholeNetwork
-
-__all__ = ["VCConfig", "VCNetwork", "WormholeConfig", "WormholeNetwork"]

@@ -7,10 +7,3 @@ single-stage pipeline (routing, VC allocation and switch arbitration resolve
 in the cycle after a flit arrives) matching the base latencies the paper
 reports; see DESIGN.md section 3 for the calibration.
 """
-
-from repro.baselines.vc.config import VCConfig
-from repro.baselines.vc.flits import VCFlit
-from repro.baselines.vc.network import VCNetwork
-from repro.baselines.vc.router import VCRouter
-
-__all__ = ["VCConfig", "VCFlit", "VCNetwork", "VCRouter"]

@@ -8,7 +8,3 @@ packet leaves its chain of physical channels idle, which is the throughput
 pathology the related-work section describes and the wormhole ablation
 benchmark demonstrates.
 """
-
-from repro.baselines.wormhole.network import WormholeConfig, WormholeNetwork
-
-__all__ = ["WormholeConfig", "WormholeNetwork"]

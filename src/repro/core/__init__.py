@@ -20,20 +20,3 @@ Module map (mirrors the paper's Figure 3 block diagram):
 * :mod:`~repro.core.interface` -- the injecting/reassembling node interface;
 * :mod:`~repro.core.network` -- the full mesh and its cycle loop.
 """
-
-from repro.core.config import FR6, FR13, FRConfig
-from repro.core.flits import ControlFlit, DataFlit
-from repro.core.network import FRNetwork
-from repro.core.reservation import OutputReservationTable
-from repro.core.router import FRRouter
-
-__all__ = [
-    "FR6",
-    "FR13",
-    "FRConfig",
-    "ControlFlit",
-    "DataFlit",
-    "FRNetwork",
-    "FRRouter",
-    "OutputReservationTable",
-]

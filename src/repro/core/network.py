@@ -47,6 +47,19 @@ class FRNetwork(NetworkModel):
         track_control_lead: bool = False,
         streaming: bool = False,
     ) -> None:
+        if config.scheduling_policy == "all_or_nothing":
+            # Hold-to-horizon: each tentative reservation charges a next-hop
+            # buffer through the window end and no credit lands within the
+            # cycle, so one table grants at most data_buffers_per_input data
+            # flits at once.  A control flit that leads more never schedules.
+            led = min(config.data_flits_per_control, packet_length)
+            if led > config.data_buffers_per_input:
+                raise ValueError(
+                    "all_or_nothing scheduling cannot deliver: a control flit leads "
+                    f"min(data_flits_per_control={config.data_flits_per_control}, "
+                    f"packet_length={packet_length}) = {led} data flits, more than "
+                    f"data_buffers_per_input={config.data_buffers_per_input}"
+                )
         mesh = mesh or Mesh2D(8, 8)
         super().__init__(
             mesh,

@@ -10,19 +10,3 @@
   function per table and figure of the paper;
 * :mod:`~repro.harness.runner` -- the ``frfc`` command-line front end.
 """
-
-from repro.harness.experiment import ExperimentResult, build_network, run_experiment
-from repro.harness.presets import MeasurementPreset, PRESETS
-from repro.harness.saturation import find_saturation
-from repro.harness.sweep import LoadSweepResult, run_load_sweep
-
-__all__ = [
-    "ExperimentResult",
-    "LoadSweepResult",
-    "MeasurementPreset",
-    "PRESETS",
-    "build_network",
-    "find_saturation",
-    "run_experiment",
-    "run_load_sweep",
-]

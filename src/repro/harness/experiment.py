@@ -23,7 +23,6 @@ from repro.baselines.wormhole.network import WormholeConfig, WormholeNetwork
 from repro.core.config import FRConfig
 from repro.core.network import FRNetwork
 from repro.harness.presets import MeasurementPreset, get_preset
-from repro.sim.invariants import InvariantChecker
 from repro.sim.kernel import Simulator
 from repro.sim.netbase import NetworkModel
 from repro.stats.warmup import WarmupDetector
@@ -171,7 +170,11 @@ def run_experiment(
         streaming=streaming,
         **network_kwargs,
     )
-    checker = InvariantChecker() if check_invariants else None
+    checker = None
+    if check_invariants:
+        from repro.sim.invariants import InvariantChecker
+
+        checker = InvariantChecker()
     if obs is not None:
         obs.attach(network)
         simulator = Simulator(

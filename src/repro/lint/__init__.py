@@ -6,24 +6,3 @@ for the rule catalogue and :mod:`repro.lint.engine` for suppression and
 reporting).  Invoked from the command line via ``tools/frfc_lint.py`` and
 from the test suite directly.
 """
-
-from repro.lint.engine import (
-    Finding,
-    LintConfigurationError,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-    suppressed_rules_by_line,
-)
-from repro.lint.rules import ALL_RULES, Rule
-
-__all__ = [
-    "ALL_RULES",
-    "Finding",
-    "LintConfigurationError",
-    "Rule",
-    "iter_python_files",
-    "lint_paths",
-    "lint_source",
-    "suppressed_rules_by_line",
-]

@@ -34,96 +34,3 @@ The layer has five parts:
 See ``docs/observability.md`` for the event taxonomy, the metrics catalog,
 and a Perfetto walkthrough.
 """
-
-from repro.obs.attribution import (
-    COMPONENTS,
-    LatencyAttributor,
-    PacketAttribution,
-    Segment,
-)
-from repro.obs.events import (
-    EVENT_KINDS,
-    EventBus,
-    EventCollector,
-    NetworkEvent,
-)
-from repro.obs.ledger import (
-    DEFAULT_STORE,
-    RECORD_SCHEMA,
-    LedgerCorruptionError,
-    LedgerError,
-    RunLedger,
-    describe_record,
-    format_run_diff,
-)
-from repro.obs.metrics import Gauge, MetricsRegistry
-from repro.obs.probe import NetworkProbe
-from repro.obs.profile import SimProfiler
-from repro.obs.progress import PROGRESS_SCHEMA, ProgressReporter
-from repro.obs.report import (
-    ATTRIBUTION_SCHEMA,
-    AttributionSummary,
-    ComponentStats,
-    format_attribution_table,
-    validate_attribution,
-    write_attribution_json,
-)
-from repro.obs.heatmap import (
-    HEATMAP_SCHEMA,
-    HeatmapError,
-    build_frame,
-    build_heatmap,
-    format_hotspots,
-    render_ascii,
-    render_svg,
-    validate_heatmap,
-    write_heatmap_json,
-)
-from repro.obs.session import ObsSession
-from repro.obs.spatial import SpatialMetricsRegistry, SpatialSample, write_spatial_csv
-from repro.obs.trace import TraceEvent, TraceLog
-
-__all__ = [
-    "ATTRIBUTION_SCHEMA",
-    "AttributionSummary",
-    "COMPONENTS",
-    "ComponentStats",
-    "DEFAULT_STORE",
-    "EVENT_KINDS",
-    "EventBus",
-    "EventCollector",
-    "Gauge",
-    "HEATMAP_SCHEMA",
-    "HeatmapError",
-    "LatencyAttributor",
-    "LedgerCorruptionError",
-    "LedgerError",
-    "MetricsRegistry",
-    "NetworkEvent",
-    "NetworkProbe",
-    "ObsSession",
-    "PROGRESS_SCHEMA",
-    "PacketAttribution",
-    "ProgressReporter",
-    "RECORD_SCHEMA",
-    "RunLedger",
-    "Segment",
-    "SimProfiler",
-    "SpatialMetricsRegistry",
-    "SpatialSample",
-    "TraceEvent",
-    "TraceLog",
-    "build_frame",
-    "build_heatmap",
-    "describe_record",
-    "format_attribution_table",
-    "format_hotspots",
-    "format_run_diff",
-    "render_ascii",
-    "render_svg",
-    "validate_attribution",
-    "validate_heatmap",
-    "write_attribution_json",
-    "write_heatmap_json",
-    "write_spatial_csv",
-]

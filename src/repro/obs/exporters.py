@@ -10,7 +10,6 @@ directly in cycles.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from pathlib import Path
@@ -168,6 +167,8 @@ def write_metrics_csv(rows: Iterable[Mapping[str, float]], path: str | Path) -> 
     shape); integral values are written without a trailing ``.0`` so the
     file reads naturally.
     """
+    import csv
+
     rows = list(rows)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if not rows:

@@ -13,7 +13,6 @@ point's result must never depend on), and no wall-clock timestamp is recorded
 from __future__ import annotations
 
 import dataclasses
-import subprocess
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -30,6 +29,8 @@ def git_sha() -> str:
     manifests are written once per run, and the rev-parse cost is nothing
     next to the sweep it describes.
     """
+    import subprocess
+
     try:
         result = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -34,18 +34,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.obs.attribution import LatencyAttributor
 from repro.obs.events import EventBus, EventCollector
 from repro.obs.exporters import write_chrome_trace, write_events_jsonl, write_metrics_csv
 from repro.obs.manifest import build_manifest, write_manifest
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.probe import NetworkProbe
-from repro.obs.profile import SimProfiler
-from repro.obs.report import AttributionSummary, write_attribution_json
-from repro.obs.spatial import SpatialMetricsRegistry, write_spatial_csv
 
 if TYPE_CHECKING:
+    from repro.obs.attribution import LatencyAttributor
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.probe import NetworkProbe
+    from repro.obs.profile import SimProfiler
     from repro.obs.progress import ProgressReporter
+    from repro.obs.report import AttributionSummary
+    from repro.obs.spatial import SpatialMetricsRegistry
     from repro.sim.kernel import CycleHook
     from repro.sim.netbase import NetworkModel
 
@@ -76,6 +76,9 @@ class ObsSession:
         self.attribution_out = attribution_out
         self.manifest_out = manifest_out
         self.bench_out = bench_out
+        # Each observer's module is imported where the observer is built, so
+        # a run loads only what it asked for -- here rather than in attach(),
+        # so a forked pool worker inherits every module its session needs.
         self.bus = EventBus()
         self.collector: EventCollector | None = None
         if events_out or trace_out:
@@ -83,19 +86,33 @@ class ObsSession:
             self.bus.subscribe_all(self.collector)
         self.attributor: LatencyAttributor | None = None
         if attribution_out is not None:
+            from repro.obs.attribution import LatencyAttributor
+
             self.attributor = LatencyAttributor(self.bus, capacity=capacity)
         self.registry: MetricsRegistry | None = None
         if metrics_out:
+            from repro.obs.metrics import MetricsRegistry
+
             self.registry = MetricsRegistry(sample_every)
         self.spatial: SpatialMetricsRegistry | None = None
         if spatial_out is not None or heatmap_out is not None:
+            from repro.obs.spatial import SpatialMetricsRegistry
+
             # Like attribution_out, an empty string means "sample but write
             # nothing" -- sweeps aggregate the in-memory rows themselves.
             self.spatial = SpatialMetricsRegistry(sample_every)
-        self.profiler: SimProfiler | None = SimProfiler() if profile else None
+        self.profiler: SimProfiler | None = None
+        if profile:
+            from repro.obs.profile import SimProfiler
+
+            self.profiler = SimProfiler()
         self.progress = progress
         self.window: tuple[int, int] | None = None
         self._probe: NetworkProbe | None = None
+        if self.collector is not None or self.attributor is not None:
+            from repro.obs.probe import NetworkProbe
+
+            self._probe = NetworkProbe(self.bus)
         self._network: "NetworkModel | None" = None
 
     @property
@@ -141,8 +158,8 @@ class ObsSession:
         self._network = network
         if self.attributor is not None:
             self.attributor.configure_for(network)
-        if self.collector is not None or self.attributor is not None:
-            self._probe = NetworkProbe(self.bus).attach(network)
+        if self._probe is not None:
+            self._probe.attach(network)
         if self.registry is not None:
             self.registry.install_standard_instruments(network)
         if self.spatial is not None:
@@ -187,6 +204,8 @@ class ObsSession:
             write_metrics_csv(self.registry.timeseries, self.metrics_out)
             artifacts["metrics"] = self.metrics_out
         if self.spatial_out and self.spatial is not None and network is not None:
+            from repro.obs.spatial import write_spatial_csv
+
             write_spatial_csv(self.spatial, network, self.spatial_out)
             artifacts["spatial"] = self.spatial_out
         if self.heatmap_out and self.spatial is not None and network is not None:
@@ -212,6 +231,8 @@ class ObsSession:
                 label=self._summary_label(config, offered_load)
             )
             if summary is not None:
+                from repro.obs.report import write_attribution_json
+
                 write_attribution_json(
                     [summary],
                     self.attribution_out,
@@ -276,6 +297,8 @@ class ObsSession:
         """Roll the attributor's records up (None when nothing was recorded)."""
         if self.attributor is None or not self.attributor.records:
             return None
+        from repro.obs.report import AttributionSummary
+
         return AttributionSummary.from_attributor(self.attributor, label=label)
 
     @staticmethod

@@ -6,21 +6,3 @@ approximately the same storage per node, and the extra control bandwidth of
 flit-reservation flow control (about 2% for 256-bit data flits) is charged
 against its throughput gains.
 """
-
-from repro.overhead.bandwidth import BandwidthOverhead, fr_bandwidth, vc_bandwidth
-from repro.overhead.storage import (
-    FRStorageModel,
-    StorageBreakdown,
-    VCStorageModel,
-    ceil_log2,
-)
-
-__all__ = [
-    "BandwidthOverhead",
-    "FRStorageModel",
-    "StorageBreakdown",
-    "VCStorageModel",
-    "ceil_log2",
-    "fr_bandwidth",
-    "vc_bandwidth",
-]

@@ -11,19 +11,3 @@ repository is built on:
   (arbitration, traffic, injection) so that every experiment is reproducible
   from one integer seed.
 """
-
-from repro.sim.invariants import InvariantChecker, InvariantViolation
-from repro.sim.kernel import CycleHook, SimulationError, Simulator
-from repro.sim.link import Link, LinkOverflowError
-from repro.sim.rng import DeterministicRng
-
-__all__ = [
-    "CycleHook",
-    "DeterministicRng",
-    "InvariantChecker",
-    "InvariantViolation",
-    "Link",
-    "LinkOverflowError",
-    "SimulationError",
-    "Simulator",
-]

@@ -1,30 +1,3 @@
 """Measurement machinery: latency/throughput collectors, warm-up detection,
 confidence intervals, and the occupancy/lead-time trackers behind the paper's
 Section 4.2 and 4.4 observations."""
-
-from repro.stats.collectors import (
-    ControlLeadTracker,
-    LatencyStats,
-    OccupancyTracker,
-    ThroughputCounter,
-)
-from repro.stats.confidence import confidence_interval, mean_and_halfwidth
-from repro.stats.utilization import (
-    ChannelUtilization,
-    measure_channel_utilization,
-    snapshot_channel_utilization,
-)
-from repro.stats.warmup import WarmupDetector
-
-__all__ = [
-    "ChannelUtilization",
-    "ControlLeadTracker",
-    "LatencyStats",
-    "OccupancyTracker",
-    "ThroughputCounter",
-    "WarmupDetector",
-    "confidence_interval",
-    "mean_and_halfwidth",
-    "measure_channel_utilization",
-    "snapshot_channel_utilization",
-]

@@ -14,7 +14,6 @@ Each collector is a small accumulator the networks feed during simulation:
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 from repro.stats.confidence import mean_and_halfwidth
 from repro.stats.streaming import P2Quantile, RunningMoments
@@ -139,6 +138,8 @@ class LatencyStats:
         if self._moments is not None:
             if self._moments.count < 2:
                 raise ValueError("need at least 2 samples for a confidence interval")
+            from statistics import NormalDist
+
             z = NormalDist().inv_cdf((1.0 + level) / 2.0)
             return z * self._moments.stddev / math.sqrt(self._moments.count)
         _, halfwidth = mean_and_halfwidth(self._samples, level=level)

@@ -29,27 +29,22 @@ _T_TABLE_99 = {
     14: 2.977, 15: 2.947, 19: 2.861, 24: 2.797, 29: 2.756, 39: 2.708,
     59: 2.662, 99: 2.626,
 }
-_Z_95 = 1.960
-_Z_99 = 2.576
 
 
 def _t_critical(degrees_of_freedom: int, level: float) -> float:
     """Two-sided t critical value, conservatively rounded up between rows."""
     if level == 0.95:
-        table, z = _T_TABLE_95, _Z_95
+        table = _T_TABLE_95
     elif level == 0.99:
-        table, z = _T_TABLE_99, _Z_99
+        table = _T_TABLE_99
     else:
         raise ValueError(f"only 0.95 and 0.99 levels are tabulated, got {level}")
     if degrees_of_freedom < 1:
         raise ValueError("need at least 2 batches for a confidence interval")
-    candidates = [df for df in table if df >= degrees_of_freedom]
-    if not candidates:
-        return z
-    # The smallest tabulated df at or above ours has a *larger* critical
-    # value than the exact one, i.e. the interval is conservative.
-    exact_or_below = [df for df in table if df <= degrees_of_freedom]
-    return table[max(exact_or_below)] if exact_or_below else table[min(candidates)]
+    # t falls as df grows, so the largest tabulated df at or below ours has
+    # a critical value at least the exact one: the interval is conservative.
+    # Above the table that is the df=99 row, never the normal z.
+    return table[max(df for df in table if df <= degrees_of_freedom)]
 
 
 def mean_and_halfwidth(

@@ -5,37 +5,3 @@ dimension-ordered (XY) routing; this subpackage provides that topology in a
 general ``width x height`` form plus the routing function and the capacity
 model used to normalise offered load.
 """
-
-from repro.topology.mesh import (
-    EJECT,
-    EAST,
-    INJECT,
-    NORTH,
-    PORT_NAMES,
-    SOUTH,
-    WEST,
-    Mesh2D,
-    opposite_port,
-)
-from repro.topology.routing import (
-    DimensionOrderRouting,
-    RoutingFunction,
-    RoutingLoopError,
-    route_path,
-)
-
-__all__ = [
-    "DimensionOrderRouting",
-    "EAST",
-    "EJECT",
-    "INJECT",
-    "Mesh2D",
-    "NORTH",
-    "PORT_NAMES",
-    "RoutingFunction",
-    "RoutingLoopError",
-    "SOUTH",
-    "WEST",
-    "opposite_port",
-    "route_path",
-]

@@ -6,41 +6,3 @@ that workload plus the standard synthetic patterns (transpose, bit-complement,
 bit-reverse, shuffle, hotspot, nearest-neighbour) used by the extension
 benchmarks.
 """
-
-from repro.traffic.injection import (
-    BernoulliInjection,
-    InjectionProcess,
-    PeriodicInjection,
-    make_injection_process,
-)
-from repro.traffic.packet import Packet
-from repro.traffic.patterns import (
-    BitComplementTraffic,
-    BitReverseTraffic,
-    HotspotTraffic,
-    NeighborTraffic,
-    ShuffleTraffic,
-    TrafficPattern,
-    TransposeTraffic,
-    UniformRandomTraffic,
-    make_traffic_pattern,
-)
-from repro.traffic.source import PacketSource
-
-__all__ = [
-    "BernoulliInjection",
-    "BitComplementTraffic",
-    "BitReverseTraffic",
-    "HotspotTraffic",
-    "InjectionProcess",
-    "NeighborTraffic",
-    "Packet",
-    "PacketSource",
-    "PeriodicInjection",
-    "ShuffleTraffic",
-    "TrafficPattern",
-    "TransposeTraffic",
-    "UniformRandomTraffic",
-    "make_injection_process",
-    "make_traffic_pattern",
-]

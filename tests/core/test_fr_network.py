@@ -1,5 +1,7 @@
 """Integration tests for the flit-reservation network."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import FRConfig
@@ -106,6 +108,26 @@ class TestSchedulingPolicies:
         network, _ = run_traffic(config, mesh4, cycles=1_200, rate=0.03)
         assert network.packets_delivered > 100
         assert not network.packets_in_flight
+
+    def test_all_or_nothing_bound_is_the_buffer_count(self, mesh4):
+        # A control flit leads min(d, packet length) data flits; all of them
+        # must fit the next hop's buffers in one cycle.  B flits deliver...
+        config = FRConfig(
+            data_buffers_per_input=4,
+            data_flits_per_control=5,
+            scheduling_policy="all_or_nothing",
+        )
+        network, _ = run_traffic(config, mesh4, cycles=1_000, rate=0.02, packet_length=4)
+        assert network.packets_delivered > 50
+        assert not network.packets_in_flight
+        # ...B + 1 never would, so the network is refused, naming all three.
+        with pytest.raises(ValueError) as refused:
+            FRNetwork(config, mesh=mesh4, packet_length=5)
+        message = str(refused.value)
+        for field in ("data_flits_per_control=5", "packet_length=5", "data_buffers_per_input=4"):
+            assert field in message
+        # The bound is on the flits one control flit leads, not on d alone.
+        FRNetwork(replace(config, data_flits_per_control=4), mesh=mesh4, packet_length=5)
 
     def test_wide_control_flits_deliver(self, mesh4):
         config = FRConfig(data_buffers_per_input=6, data_flits_per_control=4)

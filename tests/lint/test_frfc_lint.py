@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    ALL_RULES,
+from repro.lint.engine import (
     Finding,
     LintConfigurationError,
     iter_python_files,
@@ -16,6 +15,7 @@ from repro.lint import (
     lint_source,
     suppressed_rules_by_line,
 )
+from repro.lint.rules import ALL_RULES
 
 
 REPO = Path(__file__).resolve().parents[2]

@@ -8,8 +8,9 @@ Two properties, pinned with the order-permutation digest helpers from
 * a run observed end-to-end (probe attached while stepping) is *still*
   digest-identical -- the probe only reads, never perturbs;
 * the simulator does not even import the tooling: ``import repro`` loads no
-  ``repro.obs``, ``repro.analysis`` or ``repro.lint`` module, and a ledgered
-  sweep loads ``repro.analysis.imports`` but none of the provers.
+  ``repro.obs``, ``repro.analysis`` or ``repro.lint`` module, a ledgered
+  sweep loads ``repro.analysis.imports`` but none of the provers, and a
+  plain point loads none of the optional outputs' modules.
 """
 
 from __future__ import annotations
@@ -220,3 +221,56 @@ def test_ledgered_sweep_loads_no_prover(tmp_path) -> None:
         timeout=120,
     )
     assert listing.stdout.strip() == "['repro.analysis.imports']"
+
+
+#: Modules only an optional output, its writer, the sanitizer, the git SHA
+#: or a streaming confidence interval needs: a plain point must not load them.
+OPTIONAL_OUTPUT_MODULES = frozenset(
+    {
+        "repro.obs.attribution",
+        "repro.obs.heatmap",
+        "repro.obs.metrics",
+        "repro.obs.probe",
+        "repro.obs.report",
+        "repro.obs.spatial",
+        "repro.obs.trace",
+        "repro.sim.invariants",
+        "repro.stats.utilization",
+        "csv",
+        "subprocess",
+        "statistics",
+    }
+)
+
+
+def _fresh_modules(script: str) -> set[str]:
+    listing = subprocess.run(
+        [sys.executable, "-c", script + "\nimport sys\nprint(\"\\n\".join(sys.modules))"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return set(listing.stdout.split())
+
+
+def test_plain_point_loads_no_optional_output_module() -> None:
+    """Start-up pays only for what the run uses: with the imports of a
+    ledgered, observable harness in place (those of ``bench/workloads.py``),
+    one plain FR6 point still loads no observer, writer, sanitizer, ``csv``,
+    ``subprocess`` or ``statistics`` beyond what a bare interpreter holds."""
+    bare = _fresh_modules("")
+    loaded = _fresh_modules(
+        "from repro import FR6, VC8, Mesh2D, WormholeConfig\n"
+        "from repro.harness import experiment, saturation, sweep\n"
+        "from repro.harness.presets import MeasurementPreset, get_preset\n"
+        "from repro.obs.ledger import RunLedger\n"
+        "from repro.obs.progress import ProgressReporter\n"
+        "from repro.obs.session import ObsSession\n"
+        "tiny = MeasurementPreset(name='tiny', min_warmup=40, warmup_window=20,\n"
+        "    max_warmup=80, sample_cycles=60, drain_cycles=600, throughput_cycles=60)\n"
+        "result = experiment.run_experiment(FR6, 0.5, preset=tiny, mesh=Mesh2D(4, 4))\n"
+        "assert result.packets_measured > 0"
+    )
+    assert "repro.obs.session" in loaded  # the imports really ran
+    assert sorted((loaded - bare) & OPTIONAL_OUTPUT_MODULES) == []

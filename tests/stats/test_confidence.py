@@ -54,6 +54,21 @@ class TestMeanAndHalfwidth:
         _, width99 = mean_and_halfwidth(samples, level=0.99)
         assert width99 > width95
 
+    @pytest.mark.parametrize("level, exact_t", [(0.95, 1.976), (0.99, 2.609)])
+    def test_beyond_the_table_stays_conservative(self, level, exact_t):
+        # 151 batches of 2: df = 150, past the last tabulated row (99).  The
+        # critical value must not drop to z (1.960 / 2.576), which is below
+        # the exact t at df = 150; the df = 99 row is the conservative bound.
+        samples = [float(i % 7) for i in range(302)]
+        batch_means = [(samples[2 * b] + samples[2 * b + 1]) / 2 for b in range(151)]
+        grand = sum(batch_means) / 151
+        variance = sum((m - grand) ** 2 for m in batch_means) / 150
+        standard_error = math.sqrt(variance / 151)
+        _, halfwidth = mean_and_halfwidth(samples, level=level, batches=151)
+        assert halfwidth >= exact_t * standard_error
+        row_99 = {0.95: 1.984, 0.99: 2.626}[level]
+        assert halfwidth == pytest.approx(row_99 * standard_error)
+
     def test_unsupported_level(self):
         with pytest.raises(ValueError):
             mean_and_halfwidth([1.0] * 50, level=0.90)

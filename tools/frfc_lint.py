@@ -26,7 +26,8 @@ def _bootstrap_path() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _bootstrap_path()
-    from repro.lint import ALL_RULES, lint_paths
+    from repro.lint.engine import lint_paths
+    from repro.lint.rules import ALL_RULES
 
     parser = argparse.ArgumentParser(
         prog="frfc-lint",
