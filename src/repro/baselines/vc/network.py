@@ -23,8 +23,7 @@ from repro.baselines.vc.interface import VCNodeInterface
 from repro.baselines.vc.router import VCRouter
 from repro.sim.link import Link
 from repro.sim.netbase import NetworkModel, PacketAccounting
-from repro.stats.collectors import OccupancyTracker
-from repro.topology.mesh import WEST, Mesh2D, opposite_port
+from repro.topology.mesh import Mesh2D, opposite_port
 
 
 class VCNetwork(NetworkModel):
@@ -67,26 +66,28 @@ class VCNetwork(NetworkModel):
             VCNodeInterface(self.routers[node], config, self.rng.spawn(30_000 + node))
             for node in mesh.nodes()
         ]
-        # Active-set worklists: one flag per router (gating all three router
-        # phases -- the router re-raises it via accept_flit and link wakes)
-        # and one per NI (raised at enqueue, lowered when its backlog
-        # drains).  Everything starts active for a full first sweep.
-        n = len(self.routers)
-        self._active = bytearray(b"\x01" * n)
-        self._ni_active = bytearray(b"\x01" * n)
-        for node in mesh.nodes():
-            self.routers[node].bind_activity(self._active, node)
-        self._wire_links()
-        self.occupancy: OccupancyTracker | None = None
-        self._occupancy_node = track_occupancy_node
+        # The phases as data (repro.sim.netbase).  One flag per router gates
+        # the three router phases (raised by accept_flit and link sends,
+        # lowered by route_and_allocate); packet creation sits between the
+        # two sweeps of step().
+        routers = self.routers
+        active = self._phase(routers, VCRouter.switch_phase)
+        self._phase(routers, VCRouter.deliver_flits, active)
+        self._admission = self._phase(self.interfaces, VCNodeInterface.inject)
+        self._phase(routers, VCRouter.route_and_allocate, active)
+        self._switching, self._allocation = self.phases[:2], self.phases[2:]
+        for router in routers:
+            router.bind_activity(active)
+        self._wire_links(active)
+        self.input_buffers = config.buffers_per_input
         if track_occupancy_node is not None:
-            self.occupancy = OccupancyTracker(config.buffers_per_input)
+            self.track_occupancy(track_occupancy_node)
 
     @property
     def flow_control_name(self) -> str:
         return self.config.name
 
-    def _wire_links(self) -> None:
+    def _wire_links(self, active: bytearray) -> None:
         for node in self.mesh.nodes():
             router = self.routers[node]
             for port in self.mesh.mesh_ports(node):
@@ -96,68 +97,14 @@ class VCNetwork(NetworkModel):
                 router.connect_output(port, data, credit)
                 self.routers[neighbor].connect_input(opposite_port(port), data, credit)
                 # Flit sends wake the neighbor, credit sends wake this router.
-                data.set_wake(self._active, neighbor)
-                credit.set_wake(self._active, node)
-
-    def source_queue_length(self, node: int) -> int:
-        return self.interfaces[node].queue_length
+                data.set_wake(active, neighbor)
+                credit.set_wake(active, node)
 
     def step(self, cycle: int) -> None:
-        # Active-set sweep: full eval_order walks (deterministic iteration
-        # order untouched) stepping only flagged nodes.  One flag gates all
-        # three router phases; route_and_allocate runs last and computes the
-        # activity predicate.  Skipping an idle router is digest-identical to
-        # stepping it: an empty phase mutates nothing and draws no randomness.
-        for node in self.eval_order:
-            if self._active[node]:
-                self.routers[node].deliver_credits(cycle)
-                self.routers[node].switch_traversal(cycle)
-        for node in self.eval_order:
-            if self._active[node]:
-                self.routers[node].deliver_flits(cycle)
-        for packet in self._create_packets(cycle):
-            source = packet.source
-            self.interfaces[source].enqueue(packet)
-            self._ni_active[source] = 1
-        for node in self.eval_order:
-            if self._ni_active[node] and not self.interfaces[node].inject(cycle):
-                self._ni_active[node] = 0
-        for node in self.eval_order:
-            if self._active[node] and not self.routers[node].route_and_allocate(cycle):
-                self._active[node] = 0
-        if self.occupancy is not None:
-            self._sample_occupancy(cycle)
-
-    def rearm_activity(self) -> None:
-        """Mark every component active (next cycle is a full dense sweep).
-
-        Worklist flags are a pure performance device -- raising them all is
-        always safe and is how tests force dense stepping for equivalence
-        checks.
-        """
-        n = len(self.routers)
-        self._active[:] = b"\x01" * n
-        self._ni_active[:] = b"\x01" * n
-
-    def _sample_occupancy(self, cycle: int) -> None:
-        """Track the west input of the chosen router, as in Section 4.2's
-        'specific buffer pool of a router in the middle of the mesh'."""
-        router = self.routers[self._occupancy_node]
-        self.occupancy.record(
-            min(router.buffered_flits(WEST), self.occupancy.pool_size), cycle
-        )
-
-    def track_occupancy(self, node: int) -> OccupancyTracker:
-        """Start tracking ``node``'s west input pool, mid-run safe.
-
-        Sampling begins at the end of the next executed cycle; the
-        cycle-stamped :meth:`OccupancyTracker.record` guarantees the attach
-        boundary cycle is never counted twice.
-        """
-        if self.occupancy is None or self._occupancy_node != node:
-            self.occupancy = OccupancyTracker(self.config.buffers_per_input)
-            self._occupancy_node = node
-        return self.occupancy
+        self._sweep(self._switching, cycle)
+        self._admit_packets(cycle)
+        self._sweep(self._allocation, cycle)
+        self._sample_occupancy(cycle)
 
 
 def _ejector(node: int, accounting: PacketAccounting) -> Callable[[VCFlit, int], None]:

@@ -66,7 +66,6 @@ class VCRouter:
         "_buffered_total",
         "_unrouted",
         "_flags",
-        "_wake",
         "flits_forwarded",
     )
 
@@ -141,21 +140,19 @@ class VCRouter:
         self.accept_flit = VCRouter._accept_flit_plain
         self._forward = VCRouter._forward_plain
         # Activity tracking: total buffered flits across all inputs, plus the
-        # wake slot the network rebinds to its worklist (bind_activity).
+        # wake slot the network rebinds to its phase rows (bind_activity).
         self._buffered_total = 0
         # Idle input VCs holding flits (a head awaiting route + VC
         # allocation, so every one is buffered): route_and_allocate scans
         # only while one exists.
         self._unrouted = 0
-        self._flags = bytearray(1)
-        self._wake = 0
+        self._flags = bytearray(node + 1)
         # Diagnostics.
         self.flits_forwarded = 0
 
-    def bind_activity(self, flags: bytearray, index: int) -> None:
-        """Point this router's wake slot at the network's worklist array."""
+    def bind_activity(self, flags: bytearray) -> None:
+        """Point this router's wake slot at the network's phase rows."""
         self._flags = flags
-        self._wake = index
 
     @property
     def on_flit_arrival(self) -> Optional[Callable[[VCFlit, int, int, int], None]]:
@@ -201,6 +198,13 @@ class VCRouter:
         self._data_in_scan.sort(key=lambda entry: entry[0])
 
     # -- per-cycle phases -----------------------------------------------------
+
+    def switch_phase(self, cycle: int) -> bool:
+        """Credits in, then switch traversal.  True: the router's flag is
+        lowered only by :meth:`route_and_allocate`, which runs last."""
+        self.deliver_credits(cycle)
+        self.switch_traversal(cycle)
+        return True
 
     def deliver_credits(self, cycle: int) -> None:
         """Absorb credits returned by downstream routers."""
@@ -337,12 +341,14 @@ class VCRouter:
             # The freed slot was a shared one (see deliver_credits).
             self.ni_shared_credits[0] += 1
 
-    def deliver_flits(self, cycle: int) -> None:
-        """Move arriving flits from input links into their VC queues."""
+    def deliver_flits(self, cycle: int) -> bool:
+        """Move arriving flits from input links into their VC queues (True,
+        as :meth:`switch_phase`)."""
         for port, link in self._data_in_scan:
             if link.pending and cycle >= link.next_arrival:
                 for out_vc, flit in link.receive(cycle):
                     self.accept_flit(self, port, out_vc, flit, cycle)
+        return True
 
     def _accept_flit_plain(self, port: int, vc: int, flit: VCFlit, cycle: int = -1) -> None:
         """Insert one flit into an input VC queue, checking buffer bounds.
@@ -367,7 +373,7 @@ class VCRouter:
         queue.append(flit)
         self.pool_occupancy[port] += 1
         self._buffered_total += 1
-        self._flags[self._wake] = 1
+        self._flags[self.node] = 1
 
     def _accept_flit_observed(self, port: int, vc: int, flit: VCFlit, cycle: int = -1) -> None:
         self._accept_flit_plain(port, vc, flit, cycle)

@@ -50,7 +50,7 @@ class FRNodeInterface:
         "_per_flit",
         "_lead",
         "_data_flags",
-        "_data_wake",
+        "_node",
         "packets_pending",
         "data_flits_pending",
     )
@@ -81,12 +81,12 @@ class FRNodeInterface:
         self._ctrl_budget = config.control_flits_per_cycle
         self._per_flit = config.scheduling_policy == "per_flit"
         self._lead = max(config.injection_lead, 1)
-        # Wake slot for the data phase, rebound to the network's worklist
-        # array by bind_activity; the control phase needs no wake because its
-        # activity predicate is simply a non-empty control queue (set at
-        # enqueue time by the network).
-        self._data_flags = bytearray(1)
-        self._data_wake = 0
+        # Wake slot for the data phase, rebound to the network's phase row by
+        # bind_activity; the control phase needs no wake because its activity
+        # predicate is simply a non-empty control queue (set at enqueue time
+        # by the network).
+        self._node = router.node
+        self._data_flags = bytearray(router.node + 1)
         self.packets_pending = 0
         self.data_flits_pending = 0
         # Credits from the router arrive on-node, with no link delay: it gets
@@ -95,10 +95,9 @@ class FRNodeInterface:
         router.ni_advance_credit = self.injection_table.apply_credit
         router.ni_control_credits = self._ctrl_credits
 
-    def bind_activity(self, data_flags: bytearray, index: int) -> None:
-        """Point this NI's data-phase wake slot at the network's worklist."""
+    def bind_activity(self, data_flags: bytearray) -> None:
+        """Point this NI's data-phase wake slot at the network's phase row."""
         self._data_flags = data_flags
-        self._data_wake = index
 
     def enqueue(self, packet: Packet) -> None:
         """Expand a new packet into control + data flits and queue them."""
@@ -196,7 +195,7 @@ class FRNodeInterface:
         if bucket is None:
             self._data_ready[departure] = bucket = []
         bucket.append(flit.data_flits[i])
-        self._data_flags[self._data_wake] = 1
+        self._data_flags[self._node] = 1
 
     def _try_inject_control(self, flit: ControlFlit, now: int) -> bool:
         if flit.is_head:

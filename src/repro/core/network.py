@@ -27,8 +27,8 @@ from repro.core.interface import FRNodeInterface
 from repro.core.router import FRRouter
 from repro.sim.link import Link
 from repro.sim.netbase import NetworkModel, PacketAccounting
-from repro.stats.collectors import ControlLeadTracker, LatencyStats, OccupancyTracker
-from repro.topology.mesh import WEST, Mesh2D, opposite_port
+from repro.stats.collectors import ControlLeadTracker, LatencyStats
+from repro.topology.mesh import Mesh2D, opposite_port
 
 
 class FRNetwork(NetworkModel):
@@ -93,26 +93,21 @@ class FRNetwork(NetworkModel):
             )
             for node in mesh.nodes()
         ]
-        # Active-set worklists, one flag per node per phase.  A component is
-        # stepped only while its flag is up; it re-raises its own flag when
-        # it gains work (see docs/performance.md), links raise the consumer's
-        # flag on send (set_wake in _wire_links), and the step loops lower a
-        # flag when the phase reports itself drained.  Everything starts
-        # active so the first cycle is a full dense sweep.
-        n = len(self.routers)
-        self._ctrl_active = bytearray(b"\x01" * n)
-        self._ni_ctrl_active = bytearray(b"\x01" * n)
-        self._dep_active = bytearray(b"\x01" * n)
-        self._ni_data_active = bytearray(b"\x01" * n)
-        self._arr_active = bytearray(b"\x01" * n)
+        # The phases as data (repro.sim.netbase), one row each with its own
+        # flags; routers and NIs raise their own, links the consumer's.
+        routers, interfaces = self.routers, self.interfaces
+        ctrl = self._phase(routers, FRRouter.control_phase)
+        self._admission = self._phase(interfaces, FRNodeInterface.control_phase)
+        dep = self._phase(routers, FRRouter.data_departures)
+        ni_data = self._phase(interfaces, FRNodeInterface.data_phase)
+        arr = self._phase(routers, FRRouter.data_arrivals)
         for node in mesh.nodes():
-            self.routers[node].bind_activity(self._ctrl_active, self._dep_active, node)
-            self.interfaces[node].bind_activity(self._ni_data_active, node)
-        self._wire_links()
-        self.occupancy: OccupancyTracker | None = None
-        self._occupancy_node = track_occupancy_node
+            routers[node].bind_activity(ctrl, dep)
+            interfaces[node].bind_activity(ni_data)
+        self._wire_links(ctrl, arr)
+        self.input_buffers = config.data_buffers_per_input
         if track_occupancy_node is not None:
-            self.occupancy = OccupancyTracker(config.data_buffers_per_input)
+            self.track_occupancy(track_occupancy_node)
         self.control_lead: ControlLeadTracker | None = None
         if track_control_lead:
             self.control_lead = ControlLeadTracker()
@@ -125,7 +120,7 @@ class FRNetwork(NetworkModel):
     def flow_control_name(self) -> str:
         return self.config.name
 
-    def _wire_links(self) -> None:
+    def _wire_links(self, ctrl_flags: bytearray, arr_flags: bytearray) -> None:
         cfg = self.config
         adv_credit_width = cfg.control_flits_per_cycle * cfg.data_flits_per_control
         ctrl_credit_width = cfg.control_vcs + cfg.control_flits_per_cycle
@@ -147,79 +142,17 @@ class FRNetwork(NetworkModel):
                 # neighbor's arrival phase, control flits its control phase,
                 # and both credit streams wake this router's control phase
                 # (credits travel the reverse direction).
-                data.set_wake(self._arr_active, neighbor)
-                ctrl.set_wake(self._ctrl_active, neighbor)
-                adv_credit.set_wake(self._ctrl_active, node)
-                ctrl_credit.set_wake(self._ctrl_active, node)
-
-    # -- structure queries ----------------------------------------------------------
-
-    def source_queue_length(self, node: int) -> int:
-        return self.interfaces[node].queue_length
+                data.set_wake(arr_flags, neighbor)
+                ctrl.set_wake(ctrl_flags, neighbor)
+                adv_credit.set_wake(ctrl_flags, node)
+                ctrl_credit.set_wake(ctrl_flags, node)
 
     # -- the cycle ----------------------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        # Active-set sweep: each phase visits eval_order in full (so the
-        # deterministic iteration order is untouched) but only *steps* nodes
-        # whose flag is up, lowering the flag when the phase reports itself
-        # drained.  Skipping an inactive node is digest-identical to stepping
-        # it: a drained phase performs no state changes and draws no
-        # randomness (every rng call is gated on non-empty work).
-        for packet in self._create_packets(cycle):
-            source = packet.source
-            self.interfaces[source].enqueue(packet)
-            self._ni_ctrl_active[source] = 1
-        for node in self.eval_order:
-            if self._ctrl_active[node] and not self.routers[node].control_phase(cycle):
-                self._ctrl_active[node] = 0
-        for node in self.eval_order:
-            if self._ni_ctrl_active[node] and not self.interfaces[node].control_phase(cycle):
-                self._ni_ctrl_active[node] = 0
-        for node in self.eval_order:
-            if self._dep_active[node] and not self.routers[node].data_departures(cycle):
-                self._dep_active[node] = 0
-        for node in self.eval_order:
-            if self._ni_data_active[node] and not self.interfaces[node].data_phase(cycle):
-                self._ni_data_active[node] = 0
-        for node in self.eval_order:
-            if self._arr_active[node] and not self.routers[node].data_arrivals(cycle):
-                self._arr_active[node] = 0
-        if self.occupancy is not None:
-            self._sample_occupancy(cycle)
-
-    def rearm_activity(self) -> None:
-        """Mark every component active (next cycle is a full dense sweep).
-
-        Worklist flags are a pure performance device -- raising them all is
-        always safe and is how tests force dense stepping for equivalence
-        checks.
-        """
-        n = len(self.routers)
-        for flags in (
-            self._ctrl_active,
-            self._ni_ctrl_active,
-            self._dep_active,
-            self._ni_data_active,
-            self._arr_active,
-        ):
-            flags[:] = b"\x01" * n
-
-    def _sample_occupancy(self, cycle: int) -> None:
-        router = self.routers[self._occupancy_node]
-        self.occupancy.record(router.buffered_flits(WEST), cycle)
-
-    def track_occupancy(self, node: int) -> OccupancyTracker:
-        """Start tracking ``node``'s west input pool, mid-run safe.
-
-        Sampling begins at the end of the next executed cycle; the
-        cycle-stamped :meth:`OccupancyTracker.record` guarantees the attach
-        boundary cycle is never counted twice.
-        """
-        if self.occupancy is None or self._occupancy_node != node:
-            self.occupancy = OccupancyTracker(self.config.data_buffers_per_input)
-            self._occupancy_node = node
-        return self.occupancy
+        self._admit_packets(cycle)
+        self._sweep(self.phases, cycle)
+        self._sample_occupancy(cycle)
 
     # -- diagnostics ----------------------------------------------------------------
 

@@ -117,9 +117,7 @@ class FRRouter:
         "_ctrl_count",
         "_ctrl_total",
         "_ctrl_flags",
-        "_ctrl_wake",
         "_dep_flags",
-        "_dep_wake",
         "_vcs_scratch",
         "_cand_scratch",
         "_two_vcs",
@@ -236,13 +234,11 @@ class FRRouter:
         self._return_control_credit = FRRouter._return_credit_plain
         # Activity tracking: queued control flits per port (and in total) gate
         # the control-serve loop, and the flag slots below are rebound by the
-        # network to its shared per-phase worklist arrays (bind_activity).
+        # network to its phase rows (bind_activity).
         self._ctrl_count = [0] * NUM_PORTS
         self._ctrl_total = 0
-        self._ctrl_flags = bytearray(1)
-        self._ctrl_wake = 0
-        self._dep_flags = bytearray(1)
-        self._dep_wake = 0
+        self._ctrl_flags = bytearray(node + 1)
+        self._dep_flags = bytearray(node + 1)
         # Reused scan buffers (never escape a single phase call).
         self._vcs_scratch: list[int] = []
         self._cand_scratch: list[int] = []
@@ -303,12 +299,10 @@ class FRRouter:
         self._data_in_scan.append((port, data_link))
         self._data_in_scan.sort(key=lambda entry: entry[0])
 
-    def bind_activity(self, ctrl_flags: bytearray, dep_flags: bytearray, index: int) -> None:
-        """Point this router's wake slots at the network's worklist arrays."""
+    def bind_activity(self, ctrl_flags: bytearray, dep_flags: bytearray) -> None:
+        """Point this router's wake slots at the network's phase rows."""
         self._ctrl_flags = ctrl_flags
-        self._ctrl_wake = index
         self._dep_flags = dep_flags
-        self._dep_wake = index
 
     # -- observability hook properties (dispatch swapping) ----------------------
 
@@ -437,7 +431,7 @@ class FRRouter:
         self.ctrl_queues[port][vc].append(flit)
         self._ctrl_count[port] += 1
         self._ctrl_total += 1
-        self._ctrl_flags[self._ctrl_wake] = 1
+        self._ctrl_flags[self.node] = 1
 
     def _accept_control_observed(self, port: int, vc: int, flit: ControlFlit, now: int) -> None:
         self._accept_control_plain(port, vc, flit, now)
@@ -695,7 +689,7 @@ class FRRouter:
             if departure is None:
                 return False
             sched.on_reservation(now, arrival, departure, out_port)
-            self._dep_flags[self._dep_wake] = 1
+            self._dep_flags[self.node] = 1
             credit_from = departure + self._margin
             if port == INJECT:
                 self.ni_advance_credit(now, credit_from)
@@ -722,7 +716,7 @@ class FRRouter:
             if departure is None:
                 return False
             sched.on_reservation(now, arrival, departure, out_port)
-            self._dep_flags[self._dep_wake] = 1
+            self._dep_flags[self.node] = 1
             # The buffer frees at the departure; plesiochronous links hold
             # it a margin longer in case the transmit clock slips (Sec. 5).
             credit_from = departure + margin
@@ -793,7 +787,7 @@ class FRRouter:
     ) -> None:
         arrival = flit.arrival_times[i]
         self.input_sched[port].on_reservation(now, arrival, departure, out_port)
-        self._dep_flags[self._dep_wake] = 1
+        self._dep_flags[self.node] = 1
         # The buffer frees at the departure; plesiochronous links hold it a
         # margin longer in case the transmit clock slips (Section 5).
         credit_from = departure + self._margin
@@ -816,7 +810,7 @@ class FRRouter:
         # rewrite, which observers may read through the flit).
         arrival = flit.arrival_times[i]
         self.input_sched[port].on_reservation(now, arrival, departure, out_port)
-        self._dep_flags[self._dep_wake] = 1
+        self._dep_flags[self.node] = 1
         credit_from = departure + self._margin
         if port == INJECT:
             self.ni_advance_credit(now, credit_from)

@@ -251,7 +251,7 @@ def _collect(
             extras["mean_data_flit_latency"] = network.data_flit_latency.mean
         if network.control_lead is not None and network.control_lead.count:
             extras["mean_control_lead"] = network.control_lead.mean_lead
-    occupancy = getattr(network, "occupancy", None)
+    occupancy = network.occupancy
     if occupancy is not None and occupancy.cycles:
         extras["pool_fraction_full"] = occupancy.fraction_full
         extras["pool_mean_occupancy"] = occupancy.mean_occupancy

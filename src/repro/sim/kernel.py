@@ -129,16 +129,19 @@ class Simulator:
         """Step until ``done()`` is true; return the cycle it became true.
 
         ``deadline`` is an absolute cycle number past which the run is
-        considered stuck and a :class:`SimulationError` is raised.
+        considered stuck and a :class:`SimulationError` is raised; its
+        message carries the network's ``stall_report()`` when it has one.
         ``check_every`` trades stop-condition precision for speed when the
         condition is expensive to evaluate.
         """
         limit = self.max_cycles if deadline is None else min(deadline, self.max_cycles)
         while not done():
             if self.cycle >= limit:
+                report = getattr(self.network, "stall_report", None)  # netbase models
                 raise SimulationError(
                     f"stop condition not reached by cycle {limit}; the network "
                     "is deadlocked, starved, or the deadline is too tight"
+                    + ("" if report is None else "\n" + report())
                 )
             self.step(check_every)
         return self.cycle

@@ -5,7 +5,9 @@ flit-reservation) is packaged as a *network model*: an 8x8-mesh-shaped object
 with per-node packet sources, a per-cycle ``step``, and the measurement hooks
 the experiment harness drives.  This module holds the common plumbing --
 source construction, packet bookkeeping, measurement windows, ejection
-accounting -- so each router model only implements its own cycle semantics.
+accounting, and the activity kernel that sweeps each model's phases (declared
+as :class:`Phase` rows; docs/performance.md) -- so each router model only
+implements its own cycle semantics.
 
 Ownership rule: a component never references its owner.  The network holds
 its routers, interfaces, sources and a :class:`PacketAccounting`; the eject
@@ -18,11 +20,11 @@ the moment its last reference goes, without waiting for a cyclic collection.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.sim.rng import DeterministicRng
-from repro.stats.collectors import LatencyStats, ThroughputCounter
-from repro.topology.mesh import Mesh2D
+from repro.stats.collectors import LatencyStats, OccupancyTracker, ThroughputCounter
+from repro.topology.mesh import WEST, Mesh2D
 from repro.topology.routing import DimensionOrderRouting
 from repro.traffic.injection import make_injection_process
 from repro.traffic.packet import Packet
@@ -75,15 +77,38 @@ class PacketAccounting:
                 self.on_packet_delivered(packet, cycle)
 
 
+class Phase(NamedTuple):
+    """One pipeline stage of a model's cycle, declared as data.
+
+    ``run(components[node], cycle)`` steps one node's component and returns
+    whether it still has work; a falsy return lowers ``flags[node]``.  ``run``
+    is a plain class function, never a bound method (the ownership rule).
+    Rows may share ``flags``: a ``run`` that always returns True leaves the
+    lowering to a later row.
+    """
+
+    flags: bytearray
+    components: Sequence[Any]
+    run: Callable[[Any, int], Any]
+
+
 class NetworkModel:
     """Base class for a complete simulated network.
 
-    Subclasses implement :meth:`step` (one clock cycle) and hand their
+    Subclasses build ``routers`` and ``interfaces`` (one per node), declare
+    their phases with :meth:`_phase`, implement :meth:`step` (one clock
+    cycle) from :meth:`_admit_packets` and :meth:`_sweep`, and hand their
     routers eject callbacks that call ``self.accounting.eject_flit`` --
     capturing the accounting object, not the network -- whenever a flit
     leaves the network at its destination.  The base class owns packet
-    creation, the measurement window, and the latency/throughput collectors.
+    creation, the activity kernel, the measurement window, occupancy
+    sampling, and the latency/throughput collectors.
     """
+
+    routers: list[Any]
+    interfaces: list[Any]
+    input_buffers: int  # data flit buffers per router input (occupancy pool)
+    _admission: bytearray  # flags of the phase that injects queued packets
 
     def __init__(
         self,
@@ -135,6 +160,10 @@ class NetworkModel:
         # Observability hook (pure observer), called with (packet, cycle) at
         # creation; the delivery twin lives on the accounting object.
         self.on_packet_created: Optional[Callable[[Packet, int], None]] = None
+        # The cycle as data, in stage order (_phase).
+        self.phases: tuple[Phase, ...] = ()
+        self.occupancy: Optional[OccupancyTracker] = None
+        self._occupancy_node = -1
 
     # -- identity ----------------------------------------------------------
 
@@ -186,7 +215,28 @@ class NetworkModel:
 
     def source_queue_length(self, node: int) -> int:
         """Packets waiting (or partially injected) at one node's interface."""
-        raise NotImplementedError("network models must report per-node source queue lengths")
+        return self.interfaces[node].queue_length
+
+    # -- occupancy (Section 4.2) --------------------------------------------
+
+    def track_occupancy(self, node: int) -> OccupancyTracker:
+        """Start tracking ``node``'s west input pool, mid-run safe.
+
+        Sampling begins at the end of the next executed cycle; the
+        cycle-stamped :meth:`OccupancyTracker.record` guarantees the attach
+        boundary cycle is never counted twice.
+        """
+        if self.occupancy is None or self._occupancy_node != node:
+            self.occupancy = OccupancyTracker(self.input_buffers)
+            self._occupancy_node = node
+        return self.occupancy
+
+    def _sample_occupancy(self, cycle: int) -> None:
+        """Record the tracked router's west input, if any, as in Section 4.2's
+        'specific buffer pool of a router in the middle of the mesh'."""
+        if self.occupancy is not None:
+            router = self.routers[self._occupancy_node]
+            self.occupancy.record(router.buffered_flits(WEST), cycle)
 
     # -- per-cycle hook -----------------------------------------------------
 
@@ -194,7 +244,67 @@ class NetworkModel:
         """Advance the whole network by one clock cycle."""
         raise NotImplementedError("network models must implement the per-cycle step")
 
+    # -- the activity kernel ------------------------------------------------
+
+    def _phase(
+        self,
+        components: Sequence[Any],
+        run: Callable[[Any, int], Any],
+        flags: Optional[bytearray] = None,
+    ) -> bytearray:
+        """Append a row to :attr:`phases`; return its flags (fresh ones
+        start up, so the first cycle is a full sweep)."""
+        if flags is None:
+            flags = bytearray(b"\x01" * self.mesh.num_nodes)
+        self.phases += (Phase(flags, components, run),)
+        return flags
+
+    def _sweep(self, phases: Sequence[Phase], cycle: int) -> None:
+        """Run ``phases`` in order over ``eval_order``, stepping only
+        flagged nodes: a drained phase would change no state and draw no
+        randomness, so skipping it is digest-identical to stepping it."""
+        order = self.eval_order
+        for flags, components, run in phases:
+            for node in order:
+                if flags[node] and not run(components[node], cycle):
+                    flags[node] = 0
+
+    def rearm_activity(self) -> None:
+        """Raise every wake flag (the next cycle is a full dense sweep).
+
+        The flags are a pure performance device -- raising them all is
+        always safe and is how tests force dense stepping for equivalence
+        checks.
+        """
+        for flags, _, _ in self.phases:
+            flags[:] = b"\x01" * len(flags)
+
+    def stall_report(self) -> str:
+        """What a stuck run still holds: awake nodes per phase, oldest packet."""
+        lines = [
+            f"  {run.__qualname__} awake at nodes: "
+            + (", ".join(str(node) for node, up in enumerate(flags) if up) or "none")
+            for flags, _, run in self.phases
+        ]
+        lines.append(f"  {len(self.packets_in_flight)} packets in flight")
+        if self.packets_in_flight:
+            oldest = min(self.packets_in_flight.values(), key=lambda p: p.creation_cycle)
+            lines[-1] += (
+                f"; oldest #{oldest.packet_id} from node {oldest.source} to node "
+                f"{oldest.destination}, created at cycle {oldest.creation_cycle}"
+            )
+        return "\n".join(lines)
+
     # -- shared bookkeeping -------------------------------------------------
+
+    def _admit_packets(self, cycle: int) -> None:
+        """Create this cycle's packets and queue each at its source's
+        interface, raising the source's flag in the injection phase."""
+        admission = self._admission
+        for packet in self._create_packets(cycle):
+            source = packet.source
+            self.interfaces[source].enqueue(packet)
+            admission[source] = 1
 
     def _create_packets(self, cycle: int) -> list[Packet]:
         """Poll every source; register and return this cycle's new packets."""

@@ -8,8 +8,9 @@ bit-identical digest to a *dense* run in which every component is forced
 active every cycle (``rearm_activity``), across all three flow-control
 models, multiple seeds, and with the invariant checker attached.
 
-A unit test pins the deregister/re-register life cycle itself: a drained
-router's flags fall to zero and new work raises them again.
+A unit test pins the deregister/re-register life cycle itself on the
+network's phase rows: a drained router's flags fall to zero and new work
+raises them again.
 
 The VC/wormhole routers skip inside a stepped router as well: a link is
 polled only when an item is due, and the routing scan runs only while an
@@ -24,6 +25,8 @@ import pytest
 
 from repro import FR6, VC8, VC16, WormholeConfig
 from repro.analysis.permute import digest_network
+from repro.core.interface import FRNodeInterface
+from repro.core.router import FRRouter
 from repro.harness.experiment import build_network
 from repro.sim.invariants import InvariantChecker
 from repro.sim.kernel import Simulator
@@ -133,6 +136,12 @@ class TestBaselineSkips:
 class TestDrainDeregister:
     """A drained router leaves the worklist and new work re-registers it."""
 
+    @staticmethod
+    def _flags(network, run) -> bytearray:
+        """The wake flags of the network's phase row that steps ``run``."""
+        (flags,) = [row.flags for row in network.phases if row.run is run]
+        return flags
+
     def _quiet_network(self):
         network = build_network(FR6, 0.3, seed=1)
         network.stop_injection()  # no random traffic: we drive packets by hand
@@ -145,7 +154,7 @@ class TestDrainDeregister:
                         creation_cycle=cycle)
         network.packets_in_flight[packet.packet_id] = packet
         network.interfaces[source].enqueue(packet)
-        network._ni_ctrl_active[source] = 1
+        self._flags(network, FRNodeInterface.control_phase)[source] = 1
         return source
 
     def test_flags_fall_when_drained_and_rise_on_new_work(self):
@@ -156,21 +165,18 @@ class TestDrainDeregister:
         simulator.step(200)
         assert network.packets_delivered == 1
 
-        # Fully drained: every wake flag in every phase worklist is down.
-        for flags in (network._ctrl_active, network._ni_ctrl_active,
-                      network._dep_active, network._ni_data_active,
-                      network._arr_active):
+        # Fully drained: every wake flag in every phase row is down.
+        assert len(network.phases) == 5
+        for flags, _, _ in network.phases:
             assert not any(flags)
 
         # New work re-registers: the NI flag is raised at enqueue, and the
         # injected control flit wakes the router's control phase.
         self._inject(network, packet_id=2, cycle=simulator.cycle)
-        assert network._ni_ctrl_active[source] == 1
+        assert self._flags(network, FRNodeInterface.control_phase)[source] == 1
         simulator.step(2)
-        assert network._ctrl_active[source] == 1
+        assert self._flags(network, FRRouter.control_phase)[source] == 1
         simulator.step(200)
         assert network.packets_delivered == 2
-        for flags in (network._ctrl_active, network._ni_ctrl_active,
-                      network._dep_active, network._ni_data_active,
-                      network._arr_active):
+        for flags, _, _ in network.phases:
             assert not any(flags)

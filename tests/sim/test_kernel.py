@@ -1,8 +1,13 @@
 """Tests for the simulation kernel."""
 
+import re
+
 import pytest
 
+from repro import FR6
+from repro.harness.experiment import build_network
 from repro.sim.kernel import SimulationError, Simulator
+from repro.topology.mesh import Mesh2D
 
 
 class CountingNetwork:
@@ -55,3 +60,30 @@ class TestRunUntil:
         sim.run_until(lambda: len(net.cycles_seen) >= 5, check_every=4)
         # Overshoot is bounded by the check granularity.
         assert 5 <= sim.cycle <= 8
+
+
+class TestStallReport:
+    """A run that misses its deadline says what the network still holds."""
+
+    def test_tight_deadline_names_awake_phases_and_the_oldest_packet(self):
+        network = build_network(FR6, 0.5, mesh=Mesh2D(4, 4), seed=1)
+        sim = Simulator(network)
+        with pytest.raises(SimulationError) as caught:
+            sim.run_until(lambda: False, deadline=30)
+        message = str(caught.value)
+        assert message.startswith("stop condition not reached by cycle 30")
+        awake = re.search(r"FRRouter\.control_phase awake at nodes: (\d+)", message)
+        assert awake is not None, message
+        assert network.phases[0].flags[int(awake.group(1))] == 1
+        assert "FRNodeInterface.data_phase awake at nodes: " in message
+        oldest = min(network.packets_in_flight.values(), key=lambda p: p.creation_cycle)
+        assert (
+            f"{len(network.packets_in_flight)} packets in flight; "
+            f"oldest #{oldest.packet_id} from node {oldest.source} to node "
+            f"{oldest.destination}, created at cycle {oldest.creation_cycle}"
+        ) in message
+
+    def test_a_network_without_a_report_keeps_the_plain_message(self):
+        sim = Simulator(CountingNetwork())
+        with pytest.raises(SimulationError, match=r"deadline is too tight$"):
+            sim.run_until(lambda: False, deadline=5)
