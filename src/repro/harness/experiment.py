@@ -134,7 +134,7 @@ def run_experiment(
     sampler attach before warm-up and its profiler splits wall time into
     warmup/sample/drain; the caller finalizes artifacts afterwards.
     With ``ledger`` the run is *memoised*: the point's pre-execution
-    identity (config + load + seed + preset + git SHA + code digest) is
+    identity (config + load + seed + preset + code digest) is
     looked up in the content-addressed run ledger, a verified hit replays
     the recorded result byte-identically without simulating, and a miss
     simulates then records -- so interrupted sweeps resume for free.

@@ -8,7 +8,7 @@ is what a ``spawn`` worker starts as.  The run ledger replays verified records
 byte-identically (the warm/cold gate), so a parallel sweep needs no merge
 logic: :func:`prewarming` arms the ledger so that the first absent record
 fans the sweep's :class:`Call` list out to a process pool whose only side
-effect is writing ``frfc-runrecord/1`` files, and the unchanged serial loop
+effect is writing ``frfc-runrecord/2`` files, and the unchanged serial loop
 then replays them.  A warm sweep never misses, so it never starts a pool and
 pays nothing.
 """

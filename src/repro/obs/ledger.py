@@ -1,21 +1,28 @@
 """The run ledger: a content-addressed store of simulation results.
 
-Every harness run can be identified *before it executes*: its configuration,
-offered load, seed, measurement preset, topology, traffic parameters, the
-checkout's git SHA, and a **code digest** over the model's import closure
-(:func:`repro.analysis.imports.import_closure`, so editing a module that the
-model can actually reach invalidates exactly the affected models and nothing
-else).  The ledger keys each run record by the SHA-256 of that canonicalised
-identity and stores it as one JSON file under ``.frfc/runs/``.
+Every harness run can be identified *before it executes*, by what determines
+its result: its configuration, offered load, seed, measurement preset,
+topology, traffic parameters, ``check_invariants``, and a **code digest** over
+the import closure (:func:`repro.analysis.imports.import_closure`) of the
+model, the harness entry and the observation session that computes what an
+observed record stores -- so editing a module that a record can depend on
+invalidates exactly the affected models and nothing else.  The ledger keys
+each run record by the SHA-256 of that canonicalised identity and stores it
+as one JSON file under ``.frfc/runs/``.  The checkout's git SHA is
+provenance, not identity: a commit that leaves every closure byte alone
+keeps every record, and nothing on the read path starts a process.
 
 The digest reads and hashes every closure module each time; what it does not
 redo is the parse that finds their imports, which ``imports.memo`` in the
 store remembers per content hash (:class:`_ImportMemo`).
 
-Records (schema ``frfc-runrecord/1``) carry the measured result plus its own
-digest, the attribution summary and profiler phase timings when the run was
-observed, ``events_dropped``, and artifact paths.  Writes are atomic (temp +
-rename, via :func:`repro.obs.exporters.atomic_write_text`); reads re-verify
+Records (schema ``frfc-runrecord/2``) carry the measured result plus its own
+digest, a ``provenance`` block naming the git SHA that wrote them, the
+attribution summary and profiler phase timings when the run was observed,
+``events_dropped``, and artifact paths.  A ``/1`` record (keyed by SHA too) is
+refused like a corrupt one: listed loudly, never replayed, evicted by ``gc``.
+Writes are atomic (temp + rename, via
+:func:`repro.obs.exporters.atomic_write_text`); reads re-verify
 the stored content hash, result digest, and identity hash against the file
 name -- a mismatch raises :class:`LedgerCorruptionError` and is **never** a
 silent stale hit (``lookup`` degrades a corrupt record to a loudly-reported
@@ -55,7 +62,7 @@ if TYPE_CHECKING:
     from repro.topology.mesh import Mesh2D
 
 #: Schema tag carried by every run record.
-RECORD_SCHEMA = "frfc-runrecord/1"
+RECORD_SCHEMA = "frfc-runrecord/2"
 
 #: Default store location, relative to the invoking directory.
 DEFAULT_STORE = ".frfc/runs"
@@ -63,6 +70,12 @@ DEFAULT_STORE = ".frfc/runs"
 #: The import memo's file in the store root.  Not ``*.json``: it is no record,
 #: so ``scan``, ``resolve`` and every "is the store filled" glob pass it by.
 _MEMO_NAME = "imports.memo"
+
+#: Where every model's digest closure starts, besides the model's own
+#: modules: the harness entry, and the observation session, which computes
+#: the attribution summary, profile and ``events_dropped`` an observed record
+#: stores and a hit hands back (the entry imports it only for type checking).
+_DIGEST_ROOTS = ("repro.harness.experiment", "repro.obs.session")
 
 #: Config dataclass name -> its model kind (a key of ``MODEL_MODULES``).
 _CONFIG_MODELS = {
@@ -180,10 +193,11 @@ def _model_kind(config: "AnyConfig") -> str:
 class RunLedger:
     """Content-addressed run records under one store directory.
 
-    The instance keeps per-process caches of the git SHA and per-model code
-    digests (instance state, never module state: a module cache would be
-    shared by every run in the process) plus hit/miss/corrupt counters that the
-    sweep harness and CLI surface as telemetry.
+    The instance keeps per-process caches of the per-model code digests and
+    of the git SHA its writes record as provenance (instance state, never
+    module state: a module cache would be shared by every run in the process)
+    plus hit/miss/corrupt counters that the sweep harness and CLI surface as
+    telemetry.
 
     Parallel sweeps (:mod:`repro.harness.parallel`) ride on three more
     pieces of instance state: ``on_miss`` (a one-shot hook that fans the
@@ -215,21 +229,34 @@ class RunLedger:
     # -- identity -----------------------------------------------------------
 
     def current_git_sha(self) -> str:
+        """The checkout's git SHA, asked of git once per ledger object: only a
+        write (or :meth:`prime`) needs it, never a lookup."""
         if self._git_sha is None:
             self._git_sha = git_sha()
         return self._git_sha
 
     def code_digest(self, model: str) -> str:
-        """Digest of every source file the model's harness entry can reach.
-
-        Walks the import closure rooted at ``repro.harness.experiment`` plus
-        the model's own modules, stopping at the other models' modules -- so
-        an edit to e.g. the VC router changes the VC digest (forcing VC
-        re-simulation) while FR and wormhole records keep hitting.
-        """
+        """Digest of every source file in the model's :meth:`_closure`, so an
+        edit to e.g. the VC router changes the VC digest (forcing VC
+        re-simulation) while FR and wormhole records keep hitting."""
         cached = self._code_digests.get(model)
         if cached is not None:
             return cached
+        digest = hashlib.sha256()
+        for module, sha in self._closure(model).items():
+            digest.update(module.encode("utf-8"))
+            digest.update(b"\x00")
+            digest.update(bytes.fromhex(sha))
+            digest.update(b"\x00")
+        value = digest.hexdigest()
+        self._code_digests[model] = value
+        return value
+
+    def _closure(self, model: str) -> dict[str, str]:
+        """The modules a record of ``model`` depends on, sorted, each with the
+        content hash of its source: the import closures of
+        :data:`_DIGEST_ROOTS` and of the model's own modules, stopped at the
+        other models' modules."""
         if model not in MODEL_MODULES:
             known = ", ".join(sorted(MODEL_MODULES))
             raise LedgerError(f"unknown model kind {model!r}; known: {known}")
@@ -244,22 +271,15 @@ class RunLedger:
         if self._imports is None:
             self._imports = _ImportMemo(self.root / _MEMO_NAME)
         members: set[str] = set()
-        for root in ("repro.harness.experiment", *MODEL_MODULES[model]):
+        for root in (*_DIGEST_ROOTS, *MODEL_MODULES[model]):
             members.update(import_closure(root, self._imports, stop=stop))
         self._imports.save()
-        digest = hashlib.sha256()
-        for module in sorted(members):
-            digest.update(module.encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update(bytes.fromhex(self._imports.hashes[module]))
-            digest.update(b"\x00")
-        value = digest.hexdigest()
-        self._code_digests[model] = value
-        return value
+        return {module: self._imports.hashes[module] for module in sorted(members)}
 
     def prime(self, configs: "list[AnyConfig]") -> None:
-        """Compute the git SHA and the code digest of each config's model
-        now, so pool workers inherit them instead of recomputing each."""
+        """Compute the code digest of each config's model and the git SHA a
+        write records now, so pool workers inherit them instead of
+        recomputing each."""
         self.current_git_sha()
         for config in configs:
             model = _model_kind(config)
@@ -308,7 +328,6 @@ class RunLedger:
             "mesh": f"{mesh.width}x{mesh.height}",
             "check_invariants": bool(check_invariants),
             "params": params,
-            "git_sha": self.current_git_sha(),
             "code_digest": self.code_digest(model),
         }
 
@@ -484,6 +503,7 @@ class RunLedger:
             "identity_hash": self.identity_hash(identity),
             "result": stored,
             "result_digest": content_digest(stored),
+            "provenance": {"git_sha": self.current_git_sha()},
             "events_dropped": 0,
             "artifacts": dict(artifacts or {}),
         }
@@ -532,17 +552,16 @@ class RunLedger:
     def gc(self, wipe_all: bool = False) -> tuple[int, int]:
         """Evict stale or corrupt records; returns ``(kept, evicted)``.
 
-        A record is *stale* when its identity no longer matches the current
-        checkout: different git SHA, or a different code digest for its
-        model (both clock-free, so gc is deterministic).  ``wipe_all``
-        empties the store, import memo included.  Stray temp files from
-        interrupted writes are always swept.
+        A record is *stale* when its code digest no longer matches its
+        model's digest in this tree (clock-free, so gc is deterministic); the
+        git SHA in its provenance plays no part.  ``wipe_all`` empties the
+        store, import memo included.  Stray temp files from interrupted writes
+        are always swept.
         """
         kept = 0
         evicted = 0
         if not self.root.is_dir():
             return kept, evicted
-        current_sha = self.current_git_sha()
         for path in sorted(self.root.glob("*.json")):
             if wipe_all:
                 path.unlink()
@@ -555,13 +574,11 @@ class RunLedger:
                 evicted += 1
                 continue
             identity = record["identity"]
-            stale = identity.get("git_sha") != current_sha
             model = identity.get("model")
-            if not stale and isinstance(model, str):
-                try:
-                    stale = identity.get("code_digest") != self.code_digest(model)
-                except LedgerError:
-                    stale = True
+            try:
+                stale = identity.get("code_digest") != self.code_digest(str(model))
+            except LedgerError:
+                stale = True
             if stale:
                 path.unlink()
                 evicted += 1

@@ -11,6 +11,7 @@ re-simulation while unrelated edits keep hitting.
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.harness.presets import MeasurementPreset
 from repro.harness.saturation import find_saturation
 from repro.harness.sweep import run_load_sweep
 from repro.obs.ledger import RunLedger, canonical_json
+from repro.obs.session import ObsSession
 from repro.topology.mesh import Mesh2D
 
 #: Small enough for CI, long enough to measure real packets on a 4x4 mesh.
@@ -180,6 +182,68 @@ def test_unrelated_code_edit_keeps_hitting(tmp_path, monkeypatch):
     edited = RunLedger(store)
     _run(FR6, 0.2, 1, ledger=edited)
     assert edited.hits == 1 and edited.recorded == 0
+
+
+def _rerun_after_edit(store, monkeypatch, edited_module: str, **kwargs):
+    """Append a comment to ``edited_module``'s bytes, then rerun the tiny FR6
+    point against a fresh ledger on ``store``."""
+    import repro.obs.ledger as ledger_module
+
+    real_source = ledger_module._module_source
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            ledger_module,
+            "_module_source",
+            lambda module: real_source(module) + b"\n# edit\n"
+            if module == edited_module
+            else real_source(module),
+        )
+        ledger = RunLedger(store)
+        return ledger, _run(FR6, 0.2, 1, ledger=ledger, **kwargs)
+
+
+def test_sampled_closure_edit_reruns_and_rerecords(tmp_path, monkeypatch):
+    """With the git SHA out of the identity, the code digest alone must
+    invalidate a record after a code edit: for each module of a seeded
+    sample of FR's closure, an edit misses, simulates, writes a second
+    record, and the rerun equals the first run (the code didn't really
+    change).  The control: the same edit to a VC-only module still hits."""
+    members = list(RunLedger(tmp_path / "digest")._closure("FR"))
+    assert "repro.baselines.vc.network" not in members
+    sample = random.Random(34).sample(members, 3)
+    for module in sample:
+        store = tmp_path / module / "runs"
+        cold = _run(FR6, 0.2, 1, ledger=RunLedger(store))
+        edited, rerun = _rerun_after_edit(store, monkeypatch, module)
+        assert (edited.hits, edited.misses, edited.recorded) == (0, 1, 1), module
+        assert len(list(store.glob("*.json"))) == 2, module
+        assert _json(rerun) == _json(cold), module
+
+    control, _ = _rerun_after_edit(tmp_path / sample[0] / "runs", monkeypatch,
+                                "repro.baselines.vc.network")
+    assert (control.hits, control.recorded) == (1, 0)
+
+
+def _attributing() -> ObsSession:
+    return ObsSession(attribution_out="", manifest_out="")
+
+
+def test_attribution_edit_reruns_an_observed_point(tmp_path, monkeypatch):
+    """An observed record stores the attribution summary its session
+    computed, and a hit hands it back: the code that computes it is part of
+    the digest, so an edit to it re-simulates and re-records the point."""
+    store = tmp_path / "runs"
+    cold_ledger = RunLedger(store)
+    _run(FR6, 0.2, 1, ledger=cold_ledger, obs=_attributing())
+    cold = cold_ledger.last_attribution()
+    assert cold is not None
+
+    edited, _ = _rerun_after_edit(
+        store, monkeypatch, "repro.obs.attribution", obs=_attributing()
+    )
+    assert (edited.hits, edited.misses, edited.recorded) == (0, 1, 1)
+    assert len(list(store.glob("*.json"))) == 2
+    assert edited.last_attribution() == cold
 
 
 def test_find_saturation_replays_probes(tmp_path, monkeypatch):

@@ -23,8 +23,9 @@ LOADS = "0.2,0.3"
 #: One record of each retired kind -- `bench` as the benchmark gate wrote
 #: them, `throughput` as `measure_throughput` did before a probe became an
 #: experiment -- each made with the ledger of the last tree that wrote the
-#: kind, at a throw-away commit on top of it (so its git SHA is no checkout's
-#: and `gc` always finds it stale), with a one-digit edit that must break it.
+#: kind, so each is a `frfc-runrecord/1` record (keyed by git SHA, which this
+#: ledger refuses to read and `gc` always evicts), with a one-digit edit that
+#: must break it.
 LEGACY = {
     "bench": ('"cycles": 1844', '"cycles": 1845'),
     "throughput": ("0.29733333333333334", "0.29743333333333334"),
@@ -98,7 +99,8 @@ def test_runs_list_show_diff(store, capsys):
 
     assert main(["runs", "show", hashes[0], "--store", str(store)]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["schema"] == "frfc-runrecord/1"
+    assert record["schema"] == "frfc-runrecord/2"
+    assert "git_sha" not in record["identity"]
     assert record["identity"]["config"]["name"] == "FR6"
 
     assert main(["runs", "diff", hashes[0], hashes[1], "--store", str(store)]) == 0
@@ -110,15 +112,15 @@ def test_runs_list_show_diff(store, capsys):
 def test_records_of_retired_kinds_degrade_loudly(store, capsys, kind):
     # A store an older checkout filled also holds `kind: bench` and
     # `kind: throughput` records (no command writes either any more).  They
-    # must degrade loudly, never crash: listed with hash and kind,
-    # hash-verified like any record, and evicted as stale by `gc`, which
-    # leaves the store as the next test expects it.
+    # must degrade loudly, never crash: listed with their hash as records
+    # this ledger refuses to read (their schema is `/1`), never replayed, and
+    # evicted by `gc`, which leaves the store as the next test expects it.
     legacy = _plant_legacy(store, kind)
 
     assert main(["runs", "list", "--store", str(store)]) == 0
     listing = capsys.readouterr().out.splitlines()
-    assert [line.split()[:2] for line in listing if kind in line] == [
-        [legacy.stem[:12], kind]
+    assert [line.split()[:2] for line in listing if legacy.stem in line] == [
+        [legacy.stem[:12], "CORRUPT"]
     ]
     assert sum("experiment" in line for line in listing) == 2
 

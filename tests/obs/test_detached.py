@@ -274,3 +274,50 @@ def test_plain_point_loads_no_optional_output_module() -> None:
     )
     assert "repro.obs.session" in loaded  # the imports really ran
     assert sorted((loaded - bare) & OPTIONAL_OUTPUT_MODULES) == []
+
+
+_SWEEPS = (
+    "import sys\n"
+    "from repro import FR6, VC8, Mesh2D\n"
+    "from repro.harness.presets import MeasurementPreset\n"
+    "from repro.harness.sweep import run_load_sweep\n"
+    "from repro.obs.ledger import RunLedger\n"
+    "smoke = MeasurementPreset('smoke', 40, 20, 40, 60, 2_000, 60)\n"
+    "ledger = RunLedger(sys.argv[1])\n"
+    "curves = [run_load_sweep(config, loads, preset=smoke, mesh=Mesh2D(4, 4),\n"
+    "                         ledger=ledger, jobs=1)\n"
+    "          for config, loads in ((FR6, [0.2, 0.5]), (VC8, [0.2, 0.4]))]\n"
+)
+
+
+def _in_fresh_interpreter(script: str, store) -> str:
+    return subprocess.run(
+        [sys.executable, "-c", script, str(store)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.strip()
+
+
+def test_warm_sweep_and_gc_start_no_process(tmp_path) -> None:
+    """The git SHA is provenance a write records, not identity: replaying a
+    filled store, and judging it with ``gc``, never asks git, so neither
+    loads ``subprocess``."""
+    store = tmp_path / "runs"
+    cold = _in_fresh_interpreter(_SWEEPS + "print(ledger.summary())", store)
+    assert cold == "ledger: 0/4 cache hits, 4 recorded"
+    warm = _in_fresh_interpreter(
+        _SWEEPS
+        + "assert all(point.cache_hit for curve in curves for point in curve.telemetry)\n"
+        "print(ledger.summary(), 'subprocess' in sys.modules)",
+        store,
+    )
+    assert warm == "ledger: 4/4 cache hits False"
+    swept = _in_fresh_interpreter(
+        "import sys\n"
+        "from repro.obs.ledger import RunLedger\n"
+        "print(RunLedger(sys.argv[1]).gc(), 'subprocess' in sys.modules)",
+        store,
+    )
+    assert swept == "(4, 0) False"

@@ -113,6 +113,52 @@ def test_identity_distinguishes_every_axis(ledger):
     assert len(hashes) == 1 + len(variants)
 
 
+def test_git_sha_is_provenance_not_identity(ledger, tmp_path, monkeypatch):
+    """A record made at one commit replays at another whose closure bytes
+    are equal: the SHA is written beside the result, never keyed on."""
+    monkeypatch.setattr(ledger_module, "git_sha", lambda: "a" * 40)
+    identity = _identity(ledger)
+    result = _result()
+    ledger.record_experiment(identity, result)
+
+    monkeypatch.setattr(ledger_module, "git_sha", lambda: "b" * 40)
+    later = RunLedger(tmp_path / "runs")
+    later_identity = _identity(later)
+    record = later.lookup(later_identity)
+    assert record is not None and later.hits == 1
+    assert record["provenance"]["git_sha"] == "a" * 40
+    assert "git_sha" not in later_identity and "git_sha" not in record["identity"]
+    assert canonical_json(dataclasses.asdict(later.replay_experiment(record))) == canonical_json(
+        dataclasses.asdict(result)
+    )
+
+
+def test_provenance_sits_inside_the_content_hash(ledger):
+    record = ledger.record_experiment(_identity(ledger), _result())
+    forged = json.loads(json.dumps(record))
+    forged["provenance"]["git_sha"] = "0" * 40
+    with pytest.raises(LedgerCorruptionError, match="content hash mismatch"):
+        RunLedger.verify(forged)
+
+
+def test_schema_1_record_is_never_replayed(ledger, capsys):
+    """A ``/1`` record whose every digest holds is still refused: its
+    identity carried the SHA, so its result may belong to other code."""
+    identity = _identity(ledger)
+    record = ledger.record_experiment(identity, _result())
+    old = {key: value for key, value in record.items() if key != "content_hash"}
+    old["schema"] = "frfc-runrecord/1"
+    old["content_hash"] = content_digest(old)
+    path = ledger.record_path(ledger.identity_hash(identity))
+    path.write_text(json.dumps(old))
+    with pytest.raises(LedgerCorruptionError, match="frfc-runrecord/1"):
+        ledger.load(path.stem)
+    assert ledger.lookup(identity) is None
+    assert ledger.corrupt == 1
+    assert "re-simulating" in capsys.readouterr().err
+    assert ledger.gc() == (0, 1)
+
+
 def test_bit_flip_is_refused_never_silently_replayed(ledger, capsys):
     identity = _identity(ledger)
     ledger.record_experiment(identity, _result(latency=30.5))
@@ -231,6 +277,19 @@ def test_gc_keeps_current_evicts_corrupt_and_stale(ledger, tmp_path, monkeypatch
     assert (kept, evicted) == (0, 1)
 
 
+def test_gc_judges_by_code_digest_alone(ledger, tmp_path, monkeypatch):
+    """A record from another commit with this tree's closure bytes is
+    current, and gc asks git nothing."""
+    monkeypatch.setattr(ledger_module, "git_sha", lambda: "a" * 40)
+    ledger.record_experiment(_identity(ledger), _result())
+
+    def no_git() -> str:
+        raise AssertionError("gc asked for the git SHA")
+
+    monkeypatch.setattr(ledger_module, "git_sha", no_git)
+    assert RunLedger(tmp_path / "runs").gc() == (1, 0)
+
+
 def test_gc_wipe_all_empties_the_store(ledger):
     ledger.record_experiment(_identity(ledger, load=0.2), _result(load=0.2))
     ledger.record_experiment(_identity(ledger, load=0.3), _result(load=0.3))
@@ -336,7 +395,7 @@ def _members(model: str, resolver: _ParsingResolver) -> set[str]:
         for module in modules
     )
     members: set[str] = set()
-    for root in ("repro.harness.experiment", *MODEL_MODULES[model]):
+    for root in (*ledger_module._DIGEST_ROOTS, *MODEL_MODULES[model]):
         members.update(import_closure(root, resolver, stop=stop))
     return members
 
@@ -401,14 +460,14 @@ def test_digest_follows_an_import_the_edit_added(tmp_path):
     with _edited_tree() as edits:
         before = _digests(store)
         network = ledger_module._module_source("repro.core.network")
-        edits["repro.core.network"] = network + b"\nimport repro.obs.heatmap\n"
+        edits["repro.core.network"] = network + b"\nimport repro.obs.trace\n"
         with_import = _digests(store)
-        heatmap = ledger_module._module_source("repro.obs.heatmap")
-        edits["repro.obs.heatmap"] = heatmap + b"\n# edited\n"
-        heatmap_edited = _digests(store)
+        trace = ledger_module._module_source("repro.obs.trace")
+        edits["repro.obs.trace"] = trace + b"\n# edited\n"
+        trace_edited = _digests(store)
     assert with_import["FR"] != before["FR"]
-    assert heatmap_edited["FR"] != with_import["FR"]  # heatmap is in the closure now
-    assert heatmap_edited["VC"] == with_import["VC"] == before["VC"]
+    assert trace_edited["FR"] != with_import["FR"]  # trace is in the closure now
+    assert trace_edited["VC"] == with_import["VC"] == before["VC"]
 
 
 def test_warm_digest_parses_nothing_and_leaves_the_memo_alone(tmp_path):
@@ -524,7 +583,7 @@ def test_new_submodule_file_becomes_an_edge_without_any_byte_changing(tmp_path, 
             before = _digests(store)
             assert before == _unmemoised_digests()
             memo = _memo(store).read_text()
-            (package / "late.py").write_text("import repro.obs.heatmap\n")
+            (package / "late.py").write_text("import repro.obs.trace\n")
             importlib.invalidate_caches()
             after = _digests(store)
             assert after == _unmemoised_digests()
@@ -546,7 +605,7 @@ def _edit(module: str):
 
 def _add_import(edits, store, step):
     source = ledger_module._module_source("repro.core.network")
-    edits["repro.core.network"] = source + b"\nfrom repro.obs import heatmap, ghost\n"
+    edits["repro.core.network"] = source + b"\nfrom repro.obs import trace, ghost\n"
 
 
 def _add_submodule(edits, store, step):
@@ -565,7 +624,7 @@ def _revert(edits, store, step):
 _MUTATIONS = [
     _edit("repro.core.router"),  # inside every closure
     _edit("repro.baselines.vc.router"),  # inside VC's only
-    _edit("repro.obs.heatmap"),  # outside, until _add_import
+    _edit("repro.obs.trace"),  # outside, until _add_import
     _add_import,
     _add_submodule,
     _delete_memo,
