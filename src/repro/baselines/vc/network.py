@@ -39,7 +39,6 @@ class VCNetwork(NetworkModel):
         traffic: str = "uniform",
         injection_process: str = "periodic",
         track_occupancy_node: int | None = None,
-        streaming: bool = False,
     ) -> None:
         mesh = mesh or Mesh2D(8, 8)
         super().__init__(
@@ -49,7 +48,6 @@ class VCNetwork(NetworkModel):
             seed=seed,
             traffic=traffic,
             injection_process=injection_process,
-            streaming=streaming,
         )
         self.config = config
         self.routers = [

@@ -45,7 +45,6 @@ class FRNetwork(NetworkModel):
         injection_process: str = "periodic",
         track_occupancy_node: int | None = None,
         track_control_lead: bool = False,
-        streaming: bool = False,
     ) -> None:
         if config.scheduling_policy == "all_or_nothing":
             # Hold-to-horizon: each tentative reservation charges a next-hop
@@ -68,13 +67,12 @@ class FRNetwork(NetworkModel):
             seed=seed,
             traffic=traffic,
             injection_process=injection_process,
-            streaming=streaming,
         )
         self.config = config
         self.flit_pool = FlitPool()
         # Per-data-flit network latency (injection to ejection), the quantity
         # behind the paper's "base data latency of 6 cycles" observation.
-        self.data_flit_latency = LatencyStats(streaming=streaming)
+        self.data_flit_latency = LatencyStats()
         consume = _control_consumer(self.flit_pool)
         self.routers = [
             FRRouter(

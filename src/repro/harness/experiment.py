@@ -72,15 +72,12 @@ def build_network(
     mesh: Mesh2D | None = None,
     traffic: str | TrafficPattern = "uniform",
     injection_process: str = "periodic",
-    streaming: bool = False,
     **network_kwargs: Any,
 ) -> NetworkModel:
     """Construct the right network model for a flow-control configuration.
 
     ``offered_load`` is a fraction of the mesh's uniform-traffic capacity;
-    it is converted to a per-node packet injection rate here.  With
-    ``streaming`` the network's latency collectors use bounded-memory
-    streaming percentile sketches instead of storing every sample.
+    it is converted to a per-node packet injection rate here.
     """
     if offered_load <= 0:
         raise ValueError(f"offered load must be positive, got {offered_load}")
@@ -98,7 +95,6 @@ def build_network(
         seed=seed,
         traffic=traffic,
         injection_process=injection_process,
-        streaming=streaming,
         **network_kwargs,
     )
     if isinstance(config, FRConfig):
@@ -119,7 +115,6 @@ def run_experiment(
     mesh: Mesh2D | None = None,
     traffic: str | TrafficPattern = "uniform",
     injection_process: str = "periodic",
-    streaming: bool = False,
     check_invariants: bool = False,
     obs: Optional["ObsSession"] = None,
     ledger: Optional["RunLedger"] = None,
@@ -152,7 +147,6 @@ def run_experiment(
             mesh=mesh,
             traffic=traffic,
             injection_process=injection_process,
-            streaming=streaming,
             check_invariants=check_invariants,
             network_kwargs=network_kwargs,
         )
@@ -167,7 +161,6 @@ def run_experiment(
         mesh=mesh,
         traffic=traffic,
         injection_process=injection_process,
-        streaming=streaming,
         **network_kwargs,
     )
     checker = None

@@ -223,15 +223,6 @@ def _figure_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("number", choices=sorted(FIGURES))
 
 
-def _point_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--streaming",
-        action="store_true",
-        help="collect latency with bounded-memory streaming percentile "
-        "sketches instead of storing every sample",
-    )
-
-
 def _attribute_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--versus",
@@ -456,7 +447,7 @@ def _point(args: argparse.Namespace) -> None:
         else:
             session.progress = progress
         progress.begin_point(index=1, total=1, label=f"load={args.load:.2f}")
-    result = _simulate(args, session, streaming=args.streaming, ledger=ledger)
+    result = _simulate(args, session, ledger=ledger)
     replayed = ledger is not None and ledger.last_hit
     if progress is not None:
         progress.end_point(cache_hit=replayed, summary=result.summary())
@@ -725,7 +716,7 @@ COMMANDS: tuple[
      "experimental summary"),
     ("figure", _figure, (_figure_flags, _run_flags, _ledger_flag, _jobs_flag),
      "regenerate one figure's curves"),
-    ("point", _point, _OBSERVED + (_heatmap_flag, _point_flags, _ledger_flag, _progress_flag),
+    ("point", _point, _OBSERVED + (_heatmap_flag, _ledger_flag, _progress_flag),
      "run one (config, load) experiment"),
     ("obs", _obs, _OBSERVED + (_heatmap_flag,),
      "run one observed (config, load) experiment and export artifacts"),

@@ -46,14 +46,8 @@ class LoadSweepResult:
     #: timings); populated whenever the sweep ran observed or ledgered.
     telemetry: list[PointTelemetry] = field(default_factory=list)
 
-    def offered_loads(self) -> list[float]:
-        return [point.offered_load for point in self.points]
-
     def latencies(self) -> list[float]:
         return [point.mean_latency for point in self.points]
-
-    def accepted_loads(self) -> list[float]:
-        return [point.accepted_load for point in self.points]
 
     def latency_at(self, load: float) -> float:
         """Mean latency at the sweep point closest to ``load``."""

@@ -48,7 +48,7 @@ cannot produce is structurally zero for it, which *is* the paper's point):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.obs import events as ev
 from repro.obs.events import EventBus, FieldSubscriber
@@ -472,11 +472,3 @@ class LatencyAttributor:
         if self.window is None:
             return list(self.records)
         return [record for record in self.records if record.measured]
-
-    def by_packet(self) -> dict[int, PacketAttribution]:
-        """Records keyed by packet id (for the waterfall exporter)."""
-        return {record.packet_id: record for record in self.records}
-
-    def iter_records(self, measured_only: bool = False) -> Iterable[PacketAttribution]:
-        return self.measured_records() if measured_only else iter(self.records)
-

@@ -296,7 +296,6 @@ class RunLedger:
         mesh: "Mesh2D",
         traffic: Any,
         injection_process: str,
-        streaming: bool,
         check_invariants: bool,
         network_kwargs: Mapping[str, Any],
     ) -> dict[str, Any]:
@@ -308,7 +307,6 @@ class RunLedger:
             # never a wrong hit; dataclass patterns round-trip stably.
             "traffic": traffic if isinstance(traffic, str) else repr(traffic),
             "injection_process": injection_process,
-            "streaming": bool(streaming),
         }
         for key in sorted(network_kwargs):
             params[key] = repr(network_kwargs[key])

@@ -22,20 +22,10 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.attribution import COMPONENTS, LatencyAttributor, PacketAttribution
 from repro.obs.exporters import atomic_write_json
+from repro.stats.collectors import percentile
 
 #: Schema tag carried by every attribution JSON artifact.
 ATTRIBUTION_SCHEMA = "frfc-attribution/1"
-
-
-def _percentile(ordered: Sequence[int], q: float) -> float:
-    """Linear-interpolated percentile of pre-sorted samples (q in [0,100])."""
-    position = (len(ordered) - 1) * q / 100.0
-    low = math.floor(position)
-    high = math.ceil(position)
-    if low == high:
-        return float(ordered[low])
-    fraction = position - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
 
 @dataclass(frozen=True)
@@ -89,8 +79,8 @@ class AttributionSummary:
             mean = sum(ordered) / count
             components[name] = ComponentStats(
                 mean=mean,
-                p50=_percentile(ordered, 50.0),
-                p95=_percentile(ordered, 95.0),
+                p50=percentile(ordered, 50.0),
+                p95=percentile(ordered, 95.0),
                 maximum=ordered[-1],
                 share=mean / mean_latency if mean_latency else 0.0,
             )

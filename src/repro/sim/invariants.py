@@ -41,7 +41,7 @@ CLI, ``checker=`` on the simulator).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.baselines.vc.network import VCNetwork
@@ -68,13 +68,6 @@ class InvariantViolation(Exception):
         self.node = node
         self.port = port
         self.cycle = cycle
-
-
-class CycleChecker(Protocol):
-    """What the simulator kernel requires of an invariant hook."""
-
-    def check(self, network: "NetworkModel", cycle: int) -> None:
-        """Inspect the network after ``cycle`` has fully executed."""
 
 
 class InvariantChecker:

@@ -118,7 +118,6 @@ class NetworkModel:
         seed: int = 1,
         traffic: str | TrafficPattern = "uniform",
         injection_process: str = "periodic",
-        streaming: bool = False,
     ) -> None:
         if injection_rate <= 0.0:
             raise ValueError(f"injection rate must be positive, got {injection_rate}")
@@ -152,7 +151,7 @@ class NetworkModel:
         # the mesh nodes.
         self.eval_order = list(self.mesh.nodes())
         self.accounting = PacketAccounting(
-            LatencyStats(streaming=streaming), ThroughputCounter(mesh.num_nodes)
+            LatencyStats(), ThroughputCounter(mesh.num_nodes)
         )
         self.latency_stats = self.accounting.latency_stats
         self.throughput = self.accounting.throughput

@@ -14,181 +14,71 @@ Each collector is a small accumulator the networks feed during simulation:
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from repro.stats.confidence import mean_and_halfwidth
-from repro.stats.streaming import P2Quantile, RunningMoments
 
-#: Quantiles a streaming ``LatencyStats`` tracks by default (as ``q`` of
-#: ``percentile(q)``): the median, the paper-reported p95, and the tail.
-DEFAULT_TRACKED_QUANTILES: tuple[float, ...] = (50.0, 95.0, 99.0)
+
+def percentile(ordered: Sequence[int], q: float) -> float:
+    """Linear-interpolated percentile of pre-sorted samples (q in [0,100])."""
+    position = (len(ordered) - 1) * q / 100.0
+    low = math.floor(position)
+    high = math.ceil(position)
+    if low == high:
+        return float(ordered[low])
+    fraction = position - low
+    return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
 
 class LatencyStats:
     """Accumulates per-packet latencies and summarises them.
 
-    The default mode keeps every sample: percentiles, histograms, and the
-    batch-means confidence interval are exact.  ``streaming=True`` swaps the
-    sample list for O(1)-memory estimators (Welford moments plus one P²
-    marker set per tracked quantile) for runs too long to hold in memory;
-    in that mode ``percentile`` serves only the ``tracked_quantiles`` (plus
-    0 and 100, which are exact), the confidence half-width falls back to
-    the normal approximation (correlated samples may understate it -- use
-    the exact mode for publishable intervals), and ``histogram`` /
-    ``samples`` are unavailable.
+    Every sample is kept, so percentiles and the batch-means confidence
+    interval are exact.  Only measured packets are recorded: the packet and
+    data-flit collectors of a paper-preset FR6 point at load 0.5 hold about
+    8 MiB together (``docs/performance.md``, "Latency sample memory").
     """
 
-    def __init__(
-        self,
-        streaming: bool = False,
-        tracked_quantiles: tuple[float, ...] = DEFAULT_TRACKED_QUANTILES,
-    ) -> None:
-        self.streaming = streaming
+    def __init__(self) -> None:
         self._samples: list[int] = []
-        self._moments: RunningMoments | None = None
-        self._estimators: dict[float, P2Quantile] = {}
-        self._minimum = 0
-        self._maximum = 0
-        if streaming:
-            for q in tracked_quantiles:
-                if not 0.0 < q < 100.0:
-                    raise ValueError(
-                        f"tracked quantiles must be in (0, 100), got {q}"
-                    )
-            self._moments = RunningMoments()
-            self._estimators = {q: P2Quantile(q / 100.0) for q in tracked_quantiles}
 
     def record(self, latency: int) -> None:
         if latency < 0:
             raise ValueError(f"negative latency {latency}")
-        if self._moments is None:
-            self._samples.append(latency)
-            return
-        if self._moments.count == 0:
-            self._minimum = latency
-            self._maximum = latency
-        else:
-            self._minimum = min(self._minimum, latency)
-            self._maximum = max(self._maximum, latency)
-        self._moments.observe(latency)
-        for estimator in self._estimators.values():
-            estimator.observe(latency)
+        self._samples.append(latency)
 
     @property
     def count(self) -> int:
-        if self._moments is not None:
-            return self._moments.count
         return len(self._samples)
 
     @property
     def mean(self) -> float:
-        if self.count == 0:
+        if not self._samples:
             raise ValueError("no latency samples recorded")
-        if self._moments is not None:
-            return self._moments.mean
         return sum(self._samples) / len(self._samples)
 
     @property
     def maximum(self) -> int:
-        if self.count == 0:
+        if not self._samples:
             raise ValueError("no latency samples recorded")
-        if self._moments is not None:
-            return self._maximum
         return max(self._samples)
 
     def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile, ``q`` in [0, 100].
-
-        Exact in the default mode.  In streaming mode only the tracked
-        quantiles are served (P² estimates; 0 and 100 are exact).
-        """
-        if self.count == 0:
+        """Exact linear-interpolated percentile, ``q`` in [0, 100]."""
+        if not self._samples:
             raise ValueError("no latency samples recorded")
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if self._moments is not None:
-            if q == 0.0:
-                return float(self._minimum)
-            if q == 100.0:
-                return float(self._maximum)
-            estimator = self._estimators.get(q)
-            if estimator is None:
-                tracked = ", ".join(f"{t:g}" for t in sorted(self._estimators))
-                raise ValueError(
-                    f"streaming mode tracks only quantiles [{tracked}] "
-                    f"(plus 0 and 100); {q:g} was not configured"
-                )
-            return estimator.value
-        ordered = sorted(self._samples)
-        position = (len(ordered) - 1) * q / 100.0
-        low = math.floor(position)
-        high = math.ceil(position)
-        if low == high:
-            return float(ordered[low])
-        fraction = position - low
-        return ordered[low] * (1 - fraction) + ordered[high] * fraction
+        return percentile(sorted(self._samples), q)
 
     def confidence_halfwidth(self, level: float = 0.95) -> float:
         """Half-width of the CI of the mean (batch means, so correlated
-        samples from one run do not understate the error).
-
-        Streaming mode cannot batch, so it falls back to the i.i.d. normal
-        approximation ``z * s / sqrt(n)`` -- an *approximation* that
-        understates the error of correlated within-run samples.
-        """
-        if self._moments is not None:
-            if self._moments.count < 2:
-                raise ValueError("need at least 2 samples for a confidence interval")
-            from statistics import NormalDist
-
-            z = NormalDist().inv_cdf((1.0 + level) / 2.0)
-            return z * self._moments.stddev / math.sqrt(self._moments.count)
+        samples from one run do not understate the error)."""
         _, halfwidth = mean_and_halfwidth(self._samples, level=level)
         return halfwidth
 
-    @property
-    def stddev(self) -> float:
-        """Sample standard deviation of the latencies."""
-        if self._moments is not None:
-            return self._moments.stddev
-        n = len(self._samples)
-        if n < 2:
-            raise ValueError("need at least 2 samples for a standard deviation")
-        mean = self.mean
-        return math.sqrt(sum((x - mean) ** 2 for x in self._samples) / (n - 1))
-
-    def histogram(self, bin_width: int = 5) -> list[tuple[int, int]]:
-        """(bin_start, count) pairs covering the sample, fixed-width bins.
-
-        Empty bins inside the range are included so the shape (e.g. the
-        heavy saturation tail) reads correctly when printed.
-        """
-        if self._moments is not None:
-            raise ValueError("streaming mode keeps no samples; no histogram")
-        if not self._samples:
-            raise ValueError("no latency samples recorded")
-        if bin_width < 1:
-            raise ValueError(f"bin width must be >= 1, got {bin_width}")
-        low = min(self._samples) // bin_width * bin_width
-        high = max(self._samples) // bin_width * bin_width
-        counts = {start: 0 for start in range(low, high + 1, bin_width)}
-        for sample in self._samples:
-            counts[sample // bin_width * bin_width] += 1
-        return sorted(counts.items())
-
-    def format_histogram(self, bin_width: int = 5, bar_width: int = 40) -> str:
-        """A printable text histogram of the latency distribution."""
-        rows = self.histogram(bin_width)
-        peak = max(count for _, count in rows)
-        lines: list[str] = []
-        for start, count in rows:
-            bar = "#" * round(bar_width * count / peak) if peak else ""
-            lines.append(f"{start:>6}-{start + bin_width - 1:<6}{count:>8}  {bar}")
-        return "\n".join(lines)
-
     def samples(self) -> list[int]:
-        """A copy of the raw sample list (default mode only)."""
-        if self._moments is not None:
-            raise ValueError("streaming mode keeps no samples")
+        """A copy of the raw sample list."""
         return list(self._samples)
 
 

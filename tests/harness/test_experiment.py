@@ -79,47 +79,3 @@ class TestRunExperiment:
         b = run_experiment(FRConfig(), 0.3, seed=7, preset="quick", mesh=mesh4)
         assert a.mean_latency == b.mean_latency
         assert a.packets_measured == b.packets_measured
-
-
-class TestStreamingWiring:
-    """`streaming=` flows from the harness down to every latency collector."""
-
-    def test_build_network_default_is_exact_mode(self, mesh4):
-        network = build_network(FRConfig(), 0.3, mesh=mesh4)
-        assert network.latency_stats.streaming is False
-        assert network.data_flit_latency.streaming is False
-
-    def test_build_network_streaming_reaches_all_collectors(self, mesh4):
-        fr = build_network(FRConfig(), 0.3, mesh=mesh4, streaming=True)
-        assert fr.latency_stats.streaming is True
-        assert fr.data_flit_latency.streaming is True
-        vc = build_network(VCConfig(), 0.3, mesh=mesh4, streaming=True)
-        assert vc.latency_stats.streaming is True
-        wh = build_network(WormholeConfig(), 0.3, mesh=mesh4, streaming=True)
-        assert wh.latency_stats.streaming is True
-
-    def test_streaming_run_reports_finite_percentiles(self, mesh4):
-        result = run_experiment(
-            FRConfig(data_buffers_per_input=6),
-            0.3,
-            preset="quick",
-            mesh=mesh4,
-            streaming=True,
-        )
-        assert result.packets_measured > 0
-        assert result.mean_latency > 0
-        assert result.p95_latency >= result.mean_latency * 0.5
-
-    def test_streaming_and_exact_agree_on_the_mean(self, mesh4):
-        exact = run_experiment(
-            FRConfig(data_buffers_per_input=6), 0.3, preset="quick", mesh=mesh4
-        )
-        streamed = run_experiment(
-            FRConfig(data_buffers_per_input=6),
-            0.3,
-            preset="quick",
-            mesh=mesh4,
-            streaming=True,
-        )
-        assert streamed.mean_latency == pytest.approx(exact.mean_latency)
-        assert streamed.packets_measured == exact.packets_measured

@@ -223,8 +223,9 @@ def test_ledgered_sweep_loads_no_prover(tmp_path) -> None:
     assert listing.stdout.strip() == "['repro.analysis.imports']"
 
 
-#: Modules only an optional output, its writer, the sanitizer, the git SHA
-#: or a streaming confidence interval needs: a plain point must not load them.
+#: Modules only an optional output, its writer, the sanitizer or the git SHA
+#: needs, plus `statistics`, which nothing in `src/` imports: a plain point
+#: must not load them.
 OPTIONAL_OUTPUT_MODULES = frozenset(
     {
         "repro.obs.attribution",

@@ -14,6 +14,7 @@ import contextlib
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import json
 import pickle
 import sys
@@ -26,7 +27,7 @@ import repro.obs.ledger as ledger_module
 from repro.analysis.imports import MODEL_MODULES, import_closure, raw_imports
 from repro.core.config import FR6, FR13
 from repro.baselines.vc.config import VC8
-from repro.harness.experiment import ExperimentResult
+from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.presets import MeasurementPreset, get_preset
 from repro.harness.saturation import measure_throughput
 from repro.obs.ledger import (
@@ -71,7 +72,6 @@ def _identity(ledger: RunLedger, config=FR6, load: float = 0.2, seed: int = 1,
         mesh=Mesh2D(4, 4),
         traffic="uniform",
         injection_process="periodic",
-        streaming=False,
         check_invariants=False,
         network_kwargs=kwargs,
     )
@@ -111,6 +111,18 @@ def test_identity_distinguishes_every_axis(ledger):
         ledger.identity_hash(v) for v in variants
     }
     assert len(hashes) == 1 + len(variants)
+
+
+def test_identity_takes_every_run_experiment_parameter(ledger):
+    """A knob that enters `run_experiment` enters the identity too: only
+    the session and the ledger itself, which never change the result, stay
+    out, and `**network_kwargs` arrives as one mapping."""
+    expected = [
+        "network_kwargs" if param.kind is inspect.Parameter.VAR_KEYWORD else name
+        for name, param in inspect.signature(run_experiment).parameters.items()
+        if name not in ("obs", "ledger")
+    ]
+    assert list(inspect.signature(ledger.experiment_identity).parameters) == expected
 
 
 def test_git_sha_is_provenance_not_identity(ledger, tmp_path, monkeypatch):

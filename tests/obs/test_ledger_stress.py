@@ -40,7 +40,7 @@ def _identity(ledger: RunLedger, load: float = 0.2):
     return ledger.experiment_identity(
         config=FR6, offered_load=load, packet_length=5, seed=1,
         preset=get_preset("quick"), mesh=Mesh2D(4, 4), traffic="uniform",
-        injection_process="periodic", streaming=False, check_invariants=False,
+        injection_process="periodic", check_invariants=False,
         network_kwargs={},
     )
 

@@ -48,6 +48,24 @@ class TestLatencyStats:
         samples.append(99)
         assert stats.count == 1
 
+    def test_is_exact_and_keeps_samples(self):
+        stats = LatencyStats()
+        for sample in [5, 3, 9, 3, 7]:
+            stats.record(sample)
+        assert stats.samples() == [5, 3, 9, 3, 7]
+        assert stats.count == 5
+        assert stats.mean == pytest.approx(5.4)
+        assert stats.maximum == 9
+        assert stats.percentile(50) == 5.0
+        assert stats.percentile(0) == 3.0
+        assert stats.percentile(100) == 9.0
+
+    def test_serves_arbitrary_percentiles(self):
+        stats = LatencyStats()
+        for sample in range(101):
+            stats.record(sample)
+        assert stats.percentile(37.5) == pytest.approx(37.5)
+
 
 class TestThroughputCounter:
     def test_counts_only_inside_window(self):
