@@ -23,7 +23,7 @@ from repro.obs.events import (
 )
 
 if TYPE_CHECKING:
-    from repro.obs.attribution import PacketAttribution
+    from repro.obs.attribution import PacketAttribution, PacketSpans
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -61,7 +61,7 @@ def write_chrome_trace(
     events: Iterable[NetworkEvent],
     path: str | Path,
     run_name: str = "frfc",
-    attribution: Iterable["PacketAttribution"] | None = None,
+    attribution: Iterable["PacketSpans | PacketAttribution"] | None = None,
 ) -> int:
     """Write a Perfetto-loadable Chrome trace-event JSON file.
 

@@ -1,8 +1,8 @@
 """Aggregate attribution reports: tables, side-by-side comparison, JSON.
 
-A :class:`LatencyAttributor` produces one
-:class:`~repro.obs.attribution.PacketAttribution` per delivered packet;
-this module rolls those up into an :class:`AttributionSummary` per
+A :class:`LatencyAttributor` keeps one row per delivered packet (and builds
+a :class:`~repro.obs.attribution.PacketAttribution` from a row only when
+asked); this module rolls those up into an :class:`AttributionSummary` per
 (config, load) point -- mean, median, p95, and share per component -- and
 renders one or several summaries (FR next to VC is the interesting case)
 as a fixed-width table or as a ``frfc-attribution/1`` JSON artifact.
@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.obs.attribution import COMPONENTS, LatencyAttributor, PacketAttribution
+from repro.obs.attribution import (
+    COMPONENTS,
+    MODELS,
+    LatencyAttributor,
+    PacketAttribution,
+    PacketSpans,
+)
 from repro.obs.exporters import atomic_write_json
 from repro.stats.collectors import percentile
 
@@ -68,16 +74,66 @@ class AttributionSummary:
         label: str = "",
         unattributed: int = 0,
     ) -> "AttributionSummary":
-        if not records:
+        return cls._rollup(
+            label,
+            unattributed,
+            models={record.model for record in records},
+            latencies=[record.latency for record in records],
+            hops=[record.hops for record in records],
+            denies=[record.denies for record in records],
+            components={
+                name: [record.components[name] for record in records] for name in COMPONENTS
+            },
+        )
+
+    @classmethod
+    def from_attributor(
+        cls,
+        attributor: LatencyAttributor,
+        label: str = "",
+        measured_only: bool = True,
+    ) -> "AttributionSummary":
+        """Roll up the attributor's rows without building a record."""
+        columns = attributor.columns(measured_only)
+        if not columns["packet_id"]:  # attach happened after the window (or no traffic)
+            columns = attributor.columns()
+        return cls._rollup(
+            label,
+            attributor.unattributed,
+            models={MODELS[model] for model in columns["model"]},
+            latencies=[
+                delivered - created
+                for created, delivered in zip(
+                    columns["created_cycle"], columns["delivered_cycle"]
+                )
+            ],
+            hops=columns["hops"],
+            denies=columns["denies"],
+            components={name: columns[name] for name in COMPONENTS},
+        )
+
+    @classmethod
+    def _rollup(
+        cls,
+        label: str,
+        unattributed: int,
+        models: set[str],
+        latencies: Sequence[int],
+        hops: Sequence[int],
+        denies: Sequence[int],
+        components: Mapping[str, Sequence[int]],
+    ) -> "AttributionSummary":
+        """The arithmetic both constructors share: per-packet values in, in
+        delivery order, one value per packet in every sequence."""
+        if not latencies:
             raise ValueError(f"no attribution records to summarize for {label!r}")
-        count = len(records)
-        mean_latency = sum(record.latency for record in records) / count
-        models = {record.model for record in records}
-        components: dict[str, ComponentStats] = {}
+        count = len(latencies)
+        mean_latency = sum(latencies) / count
+        stats: dict[str, ComponentStats] = {}
         for name in COMPONENTS:
-            ordered = sorted(record.components[name] for record in records)
+            ordered = sorted(components[name])
             mean = sum(ordered) / count
-            components[name] = ComponentStats(
+            stats[name] = ComponentStats(
                 mean=mean,
                 p50=percentile(ordered, 50.0),
                 p95=percentile(ordered, 95.0),
@@ -90,25 +146,9 @@ class AttributionSummary:
             packets=count,
             unattributed=unattributed,
             mean_latency=mean_latency,
-            mean_hops=sum(record.hops for record in records) / count,
-            denies=sum(record.denies for record in records),
-            components=components,
-        )
-
-    @classmethod
-    def from_attributor(
-        cls,
-        attributor: LatencyAttributor,
-        label: str = "",
-        measured_only: bool = True,
-    ) -> "AttributionSummary":
-        records = (
-            attributor.measured_records() if measured_only else attributor.records
-        )
-        if not records:  # attach happened after the window (or no traffic)
-            records = attributor.records
-        return cls.from_records(
-            records, label=label, unattributed=attributor.unattributed
+            mean_hops=sum(hops) / count,
+            denies=sum(denies),
+            components=stats,
         )
 
     @classmethod
@@ -253,13 +293,15 @@ def validate_attribution(payload: Mapping[str, Any]) -> None:
 
 
 def iter_waterfall_records(
-    records: Iterable[PacketAttribution],
+    records: Iterable[PacketSpans | PacketAttribution],
 ) -> Iterable[dict[str, Any]]:
     """Chrome-trace async sub-spans nesting components inside packet spans.
 
     Each segment becomes a ``b``/``e`` pair with the *same* category and id
     as the packet's existing span, so Perfetto stacks the component bars
     directly under the packet bar -- a per-packet latency waterfall.
+    ``records`` may be records or an attributor's ``spans()``: both carry
+    the packet id, source and segments, which is all this reads.
     """
     for record in records:
         for segment in record.segments:

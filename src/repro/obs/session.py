@@ -195,7 +195,7 @@ class ObsSession:
             write_events_jsonl(self.collector, self.events_out)
             artifacts["events"] = self.events_out
         if self.trace_out and self.collector is not None:
-            waterfall = self.attributor.records if self.attributor else None
+            waterfall = self.attributor.spans() if self.attributor else None
             write_chrome_trace(
                 self.collector, self.trace_out, run_name=run_name, attribution=waterfall
             )
@@ -294,8 +294,8 @@ class ObsSession:
         return declared
 
     def attribution_summary(self, label: str = "") -> AttributionSummary | None:
-        """Roll the attributor's records up (None when nothing was recorded)."""
-        if self.attributor is None or not self.attributor.records:
+        """Roll the attributor's rows up (None when nothing was recorded)."""
+        if self.attributor is None or not self.attributor.row_count:
             return None
         from repro.obs.report import AttributionSummary
 

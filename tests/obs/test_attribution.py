@@ -11,13 +11,17 @@ error in.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
-from repro.baselines.vc.config import VCConfig
+from repro.baselines.vc.config import VC8, VCConfig
 from repro.baselines.vc.network import VCNetwork
 from repro.baselines.wormhole.network import WormholeConfig, WormholeNetwork
-from repro.core.config import FRConfig
+from repro.core.config import FR6, FRConfig
 from repro.core.network import FRNetwork
+from repro.harness.experiment import build_network
 from repro.obs.attribution import (
     COMPONENTS,
     AttributionError,
@@ -27,6 +31,7 @@ from repro.obs.attribution import (
 )
 from repro.obs.events import EventBus
 from repro.obs.probe import NetworkProbe
+from repro.obs.report import AttributionSummary, iter_waterfall_records
 from repro.sim.kernel import Simulator
 from repro.topology.mesh import Mesh2D
 
@@ -254,3 +259,86 @@ def test_negative_component_rejected():
 def test_segment_cycles():
     segment = Segment(component="ejection", start=4, end=9, node=3)
     assert segment.cycles == 5
+
+
+
+# -- storage: rows kept, records built on read ---------------------------------
+
+#: Bytes per delivered packet that an attributor keeping one
+#: PacketAttribution (components dict, Segment tuples) per packet retained
+#: on the drained point below, under tracemalloc on CPython 3.11: FR6 952,
+#: VC8 1,271.  Rows plus milestone chains retain about 222 and 287.
+RECORD_OBJECT_BYTES = {"FR6": 952, "VC8": 1_271}
+WH8 = WormholeConfig(buffers_per_input=8)
+
+
+def _drained_point(config, seed: int = 1, cycles: int = 300):
+    """A 4x4 point at load 0.5, observed from cycle 0, then drained, with a
+    second attributor of capacity 5 on the same bus."""
+    network = build_network(config, 0.5, seed=seed, mesh=Mesh2D(4, 4))
+    bus = EventBus()
+    attributor = LatencyAttributor(bus).configure_for(network)
+    capped = LatencyAttributor(bus, capacity=5).configure_for(network)
+    for observer in (attributor, capped):
+        observer.note_window(cycles // 4, cycles // 2)
+    probe = NetworkProbe(bus).attach(network)
+    simulator = Simulator(network)
+    simulator.step(cycles)
+    network.stop_injection()
+    simulator.run_until(lambda: attributor.open_packets == 0, deadline=cycles + 500)
+    probe.detach()
+    return attributor, capped
+
+
+@pytest.mark.parametrize("name,config", [("FR6", FR6), ("VC8", VC8)])
+def test_rows_hold_no_record_objects_and_a_quarter_of_the_bytes(name, config):
+    def live_records() -> int:
+        return sum(isinstance(obj, PacketAttribution) for obj in gc.get_objects())
+
+    gc.collect()
+    before = live_records()  # other tests' module-level records
+    tracemalloc.start()
+    try:
+        attributor, _capped = _drained_point(config)
+        del _capped
+        gc.collect()
+        rows = attributor.row_count
+        assert rows > 100 and attributor.unattributed == 0, attributor.last_failure
+        assert live_records() == before
+
+        records = attributor.records
+        assert records == attributor.records
+        assert len(records) == rows
+        assert len(attributor.measured_records()) == sum(attributor.columns()["measured"])
+        del records
+        gc.collect()
+
+        held = tracemalloc.get_traced_memory()[0]
+        del attributor
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / rows <= RECORD_OBJECT_BYTES[name] / 4
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("config", [FR6, VC8, WH8], ids=["FR6", "VC8", "WH8"])
+def test_row_readers_agree_with_the_records(config, seed):
+    """The summary and the waterfall read the rows; both must equal what
+    the same code computes from the records built on read."""
+    attributor, capped = _drained_point(config, seed=seed, cycles=160)
+    measured = attributor.measured_records()
+    assert 0 < len(measured) < attributor.row_count
+    assert AttributionSummary.from_attributor(attributor) == AttributionSummary.from_records(
+        measured
+    )
+    assert AttributionSummary.from_attributor(
+        attributor, measured_only=False
+    ) == AttributionSummary.from_records(attributor.records)
+    assert list(iter_waterfall_records(attributor.spans())) == list(
+        iter_waterfall_records(attributor.records)
+    )
+    assert capped.row_count == 5 == len(capped.records)
+    assert capped.records == attributor.records[:5]
+    assert capped.records_dropped == attributor.row_count - 5
