@@ -211,37 +211,47 @@ class FlitPool:
 _FRESH = FlitPool()
 
 
+def make_control_group(
+    packet: Packet, group_index: int, data_flits_per_control: int, pool: FlitPool
+) -> ControlFlit:
+    """Build one control group of ``packet``: its control flit and led data flits.
+
+    Group ``g`` leads data flits ``g * d`` up to the end of the packet, at
+    most ``d`` of them; the first group carries the head flag and the group
+    holding the packet's final data flit the last flag.  Flit objects come
+    from ``pool``'s free lists, and a recycled control flit's group lists are
+    refilled in place.
+    """
+    length = packet.length
+    start = group_index * data_flits_per_control
+    stop = start + data_flits_per_control
+    if stop > length:
+        stop = length
+    flit = pool.acquire_control(packet, is_head=group_index == 0, is_last=stop == length)
+    group = flit.data_flits
+    arrival_times = flit.arrival_times
+    scheduled = flit.scheduled
+    for i in range(start, stop):
+        group.append(pool.acquire_data(packet, i))
+        arrival_times.append(-1)
+        scheduled.append(False)
+    flit.unscheduled = stop - start
+    return flit
+
+
 def packet_to_control_flits(
     packet: Packet, data_flits_per_control: int, pool: FlitPool | None = None
 ) -> tuple[list[ControlFlit], list[DataFlit]]:
-    """Expand a packet into its control flit sequence and data flits.
+    """Expand a whole packet into its control flit sequence and data flits.
 
-    With a ``pool``, flit objects come from its free lists and the group
-    lists of recycled control flits are refilled in place.
+    The node interface builds groups one at a time with
+    :func:`make_control_group`; this is the same expansion for all of a
+    packet's ``ceil(L / d)`` groups at once.
     """
     d = data_flits_per_control
     if pool is None:
         pool = _FRESH
-    length = packet.length
-    data_flits = [pool.acquire_data(packet, i) for i in range(length)]
-    control_flits = []
-    n_groups = (length + d - 1) // d
-    for group_index in range(n_groups):
-        flit = pool.acquire_control(
-            packet,
-            is_head=group_index == 0,
-            is_last=group_index == n_groups - 1,
-        )
-        group = flit.data_flits
-        arrival_times = flit.arrival_times
-        scheduled = flit.scheduled
-        stop = (group_index + 1) * d
-        if stop > length:
-            stop = length
-        for i in range(group_index * d, stop):
-            group.append(data_flits[i])
-            arrival_times.append(-1)
-            scheduled.append(False)
-        flit.unscheduled = len(group)
-        control_flits.append(flit)
+    n_groups = (packet.length + d - 1) // d
+    control_flits = [make_control_group(packet, g, d, pool) for g in range(n_groups)]
+    data_flits = [flit for control in control_flits for flit in control.data_flits]
     return control_flits, data_flits

@@ -1,8 +1,11 @@
 """The flit-reservation node interface (NI).
 
-The source side mirrors a router's control plane in miniature: control flits
-wait in a FIFO; each cycle up to ``control_flits_per_cycle`` of them schedule
-their data flits' *injection* on the NI's own output reservation table
+The source side mirrors a router's control plane in miniature.  Packets wait
+whole in a FIFO source queue, as in the paper; the head packet is expanded
+one control group (a control flit and the data flits it leads) at a time,
+only when the previous group has left, so a backlog of waiting packets holds
+no flits.  Each cycle up to ``control_flits_per_cycle`` control flits
+schedule their data flits' *injection* on the NI's own output reservation table
 (tracking the injection channel's busy cycles and the router's local input
 buffer pool) and are then injected into the router's local control input --
 "control flits are injected only after they have scheduled the injection
@@ -23,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.config import FRConfig
-from repro.core.flits import ControlFlit, DataFlit, FlitPool, packet_to_control_flits
+from repro.core.flits import ControlFlit, DataFlit, FlitPool, make_control_group
 from repro.core.reservation import OutputReservationTable
 from repro.core.router import FRRouter
 from repro.sim.rng import DeterministicRng
@@ -39,6 +42,7 @@ class FRNodeInterface:
         "config",
         "rng",
         "pool",
+        "packet_queue",
         "control_queue",
         "injection_table",
         "_data_ready",
@@ -47,6 +51,8 @@ class FRNodeInterface:
         "_inject_vc",
         "_num_vcs",
         "_ctrl_budget",
+        "_group_size",
+        "_next_group",
         "_per_flit",
         "_lead",
         "_data_flags",
@@ -60,13 +66,19 @@ class FRNodeInterface:
         router: FRRouter,
         config: FRConfig,
         rng: DeterministicRng,
-        pool: FlitPool | None = None,
+        pool: FlitPool,
     ) -> None:
         self.router = router
         self.config = config
         self.rng = rng
         self.pool = pool
-        self.control_queue: deque[ControlFlit] = deque()
+        # Packets not yet fully expanded, oldest first; the head packet's
+        # next group to build is _next_group.  The control queue holds the
+        # flits of at most one group (a stalled wide flit's split and its
+        # residual are one group).
+        self.packet_queue: deque[Packet] = deque()
+        self._next_group = 0
+        self.control_queue: list[ControlFlit] = []
         self.injection_table = OutputReservationTable(
             config.scheduling_horizon,
             downstream_buffers=config.data_buffers_per_input,
@@ -79,6 +91,7 @@ class FRNodeInterface:
         # Hot-path copies of config scalars (see FRRouter.__init__).
         self._num_vcs = config.control_vcs
         self._ctrl_budget = config.control_flits_per_cycle
+        self._group_size = config.data_flits_per_control
         self._per_flit = config.scheduling_policy == "per_flit"
         self._lead = max(config.injection_lead, 1)
         # Wake slot for the data phase, rebound to the network's phase row by
@@ -100,13 +113,10 @@ class FRNodeInterface:
         self._data_flags = data_flags
 
     def enqueue(self, packet: Packet) -> None:
-        """Expand a new packet into control + data flits and queue them."""
-        control_flits, data_flits = packet_to_control_flits(
-            packet, self.config.data_flits_per_control, self.pool
-        )
-        self.control_queue.extend(control_flits)
+        """Queue a new packet whole; its flits are made group by group."""
+        self.packet_queue.append(packet)
         self.packets_pending += 1
-        self.data_flits_pending += len(data_flits)
+        self.data_flits_pending += packet.length
 
     @property
     def queue_length(self) -> int:
@@ -118,13 +128,17 @@ class FRNodeInterface:
     def control_phase(self, now: int) -> bool:
         """Schedule data injections and inject control flits, FIFO order.
 
-        Returns whether control flits remain queued (the activity predicate:
-        a stalled NI stays active until its queue drains, so credit returns
-        never need to wake it).
+        Returns whether control flits or packets remain queued (the activity
+        predicate: a stalled NI stays active until its queues drain, so credit
+        returns never need to wake it).
         """
         budget = self._ctrl_budget
         queue = self.control_queue
-        while budget > 0 and queue:
+        while budget > 0:
+            if not queue:
+                if not self.packet_queue:
+                    return False
+                self._queue_next_group()
             flit = queue[0]
             if flit.unscheduled:
                 budget -= 1
@@ -134,7 +148,19 @@ class FRNodeInterface:
             if not self._try_inject_control(flit, now):
                 return True
         # Injection of later flits continues next cycle; FIFO order preserved.
-        return bool(queue)
+        return bool(queue) or bool(self.packet_queue)
+
+    def _queue_next_group(self) -> None:
+        """Make the head packet's next control group; retire the packet
+        from the source queue with its last group."""
+        packet = self.packet_queue[0]
+        flit = make_control_group(packet, self._next_group, self._group_size, self.pool)
+        if flit.is_last:
+            self.packet_queue.popleft()
+            self._next_group = 0
+        else:
+            self._next_group += 1
+        self.control_queue.append(flit)
 
     def _maybe_inject_split(self, flit: ControlFlit, now: int) -> None:
         """Forward a stalled wide control flit's progress as a split flit.
@@ -149,7 +175,7 @@ class FRNodeInterface:
         if not self._per_flit or not any(flit.scheduled):
             return
         split = flit.split_scheduled()
-        self.control_queue.appendleft(split)
+        self.control_queue.insert(0, split)
         if not self._try_inject_control(split, now):
             # Keep the split queued at the front; it injects when control
             # credits return, still ahead of the residual.
@@ -214,7 +240,7 @@ class FRNodeInterface:
             raise RuntimeError("control body flit injecting with no VC allocated")
         if self._ctrl_credits[vc] <= 0:
             return False
-        self.control_queue.popleft()
+        del self.control_queue[0]
         flit.vcid = vc
         flit.reset_schedule_flags()
         self._ctrl_credits[vc] -= 1

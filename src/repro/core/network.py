@@ -28,7 +28,7 @@ from repro.core.router import FRRouter
 from repro.sim.link import Link
 from repro.sim.netbase import NetworkModel, PacketAccounting
 from repro.stats.collectors import ControlLeadTracker, LatencyStats
-from repro.topology.mesh import Mesh2D, opposite_port
+from repro.topology.mesh import PORT_NAMES, Mesh2D, opposite_port
 
 
 class FRNetwork(NetworkModel):
@@ -95,6 +95,7 @@ class FRNetwork(NetworkModel):
         # flags; routers and NIs raise their own, links the consumer's.
         routers, interfaces = self.routers, self.interfaces
         ctrl = self._phase(routers, FRRouter.control_phase)
+        self._control_flags = ctrl
         self._admission = self._phase(interfaces, FRNodeInterface.control_phase)
         dep = self._phase(routers, FRRouter.data_departures)
         ni_data = self._phase(interfaces, FRNodeInterface.data_phase)
@@ -153,6 +154,34 @@ class FRNetwork(NetworkModel):
         self._sample_occupancy(cycle)
 
     # -- diagnostics ----------------------------------------------------------------
+
+    def stall_report(self) -> str:
+        """The base report, then what the control plane holds: the head
+        control flit of each non-empty control VC at every router awake in
+        the control phase, and every NI's backlog."""
+        lines = [super().stall_report()]
+        for router in self.routers:
+            if not self._control_flags[router.node]:
+                continue
+            for port, queues in enumerate(router.ctrl_queues):
+                for vc, queue in enumerate(queues):
+                    if queue:
+                        flit = queue[0]
+                        lines.append(
+                            f"  router {router.node} {PORT_NAMES[port]} vc {vc}: head "
+                            f"control flit of packet #{flit.packet.packet_id} "
+                            f"({len(queue)} queued), unscheduled {flit.unscheduled}, "
+                            f"forward_at {flit.forward_at}"
+                        )
+        for node, interface in enumerate(self.interfaces):
+            if interface.packets_pending:
+                queue = interface.control_queue
+                current = f"#{queue[0].packet.packet_id}" if queue else "none"
+                lines.append(
+                    f"  NI {node}: {interface.packets_pending} packets queued, "
+                    f"current packet {current}"
+                )
+        return "\n".join(lines)
 
     def bypass_fraction(self) -> float:
         """Fraction of data flit movements that used the bypass path."""

@@ -49,7 +49,6 @@ Kernel architecture notes (see docs/performance.md):
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional
 
 from repro.core.config import FRConfig
@@ -162,8 +161,11 @@ class FRRouter:
         else:
             self._schedule_data_flits = FRRouter._schedule_all_or_nothing
         # Control input side.
-        self.ctrl_queues: list[list[deque[ControlFlit]]] = [
-            [deque() for _ in range(v)] for _ in range(NUM_PORTS)
+        # Plain lists: the credit protocol bounds each to
+        # control_buffers_per_vc credited flits plus split staging slots,
+        # so a front removal shifts a handful of pointers.
+        self.ctrl_queues: list[list[list[ControlFlit]]] = [
+            [[] for _ in range(v)] for _ in range(NUM_PORTS)
         ]
         # route_table[port][vc] = [out_port, out_vc, packet_id] for the
         # packet currently traversing that control VC; out_vc is -1 until a
@@ -481,7 +483,7 @@ class FRRouter:
                             "FIFO slot discipline violated"
                         )
                     out_vc = entry[1]
-                    queue.popleft()
+                    del queue[0]
                     self._ctrl_count[port] -= 1
                     self._ctrl_total -= 1
                     flit.vcid = out_vc
@@ -829,7 +831,7 @@ class FRRouter:
 
     def _consume(self, port: int, vc: int, flit: ControlFlit, now: int) -> None:
         """Deliver a control flit to the local reassembly machinery."""
-        self.ctrl_queues[port][vc].popleft()
+        del self.ctrl_queues[port][vc][0]
         self._ctrl_count[port] -= 1
         self._ctrl_total -= 1
         if flit.is_last:

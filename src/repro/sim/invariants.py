@@ -26,7 +26,12 @@ the live network and verifies:
   credit ledger balances exactly: the steady-state buffer deficit equals
   its uncredited reservations plus parked credits;
 * **flit conservation** -- every cycle, flits injected equal flits delivered
-  plus flits in flight on links plus flits queued in NIs and buffer pools.
+  plus flits in flight on links plus flits queued in NIs and buffer pools;
+* **control-plane conservation** -- each router's control-VC mirror counters
+  agree with its queues, and every control VC's credit loop balances: the
+  upstream credits, the flits committed to forward on it, the flits and
+  credits on its wires and the downstream credited occupancy add up to
+  ``control_buffers_per_vc``.
 
 Violations raise :class:`InvariantViolation` naming the router, port, and
 cycle.  The checker understands both flit-reservation and virtual-channel
@@ -130,7 +135,106 @@ class InvariantChecker:
             self._check_credit_conservation(
                 table, pool.size - pool.occupied, node, INJECT, now
             )
+        self._check_fr_control(network, now)
         self._check_fr_flit_conservation(network, now)
+
+    def _check_fr_control(self, network: "FRNetwork", now: int) -> None:
+        """The control network's credit loops and the routers' queue mirrors.
+
+        A router decrements its downstream credit when a control flit
+        commits (``forward_at`` set), before the flit leaves its queue, so
+        those committed flits count on the loop of the VC they will take.
+        """
+        from repro.topology.mesh import INJECT, opposite_port
+
+        capacity = network.config.control_buffers_per_vc
+        committed: list[dict[tuple[int, int], int]] = []
+        for router in network.routers:
+            node = router.node
+            bound: dict[tuple[int, int], int] = {}
+            total = 0
+            for port, queues in enumerate(router.ctrl_queues):
+                for vc, queue in enumerate(queues):
+                    credited = sum(1 for flit in queue if flit.credited)
+                    if credited != router._ctrl_credited[port][vc]:
+                        raise InvariantViolation(
+                            f"control credited-occupancy mirror drifted at "
+                            f"{self._where(node, port, now)} vc {vc}: counter says "
+                            f"{router._ctrl_credited[port][vc]}, queue holds {credited}",
+                            node=node, port=port, cycle=now,
+                        )
+                    for flit in queue:
+                        if flit.forward_at >= 0:
+                            entry = router.route_table[port][vc]
+                            assert entry is not None
+                            key = (entry[0], entry[1])
+                            bound[key] = bound.get(key, 0) + 1
+                queued = sum(len(queue) for queue in queues)
+                if queued != router._ctrl_count[port]:
+                    raise InvariantViolation(
+                        f"control queue count drifted at {self._where(node, port, now)}: "
+                        f"counter says {router._ctrl_count[port]}, queues hold {queued}",
+                        node=node, port=port, cycle=now,
+                    )
+                total += queued
+            if total != router._ctrl_total:
+                raise InvariantViolation(
+                    f"control queue total drifted at router {node} (cycle {now}): "
+                    f"counter says {router._ctrl_total}, queues hold {total}",
+                    node=node, cycle=now,
+                )
+            committed.append(bound)
+        for router in network.routers:
+            node = router.node
+            for port in router.connected_outputs:
+                neighbor = network.mesh.neighbor(node, port)
+                assert neighbor is not None
+                downstream = network.routers[neighbor]
+                in_port = opposite_port(port)
+                ctrl_link = router.ctrl_out_links[port]
+                credit_link = router.ctrl_credit_in[port]
+                assert ctrl_link is not None and credit_link is not None
+                for vc in range(len(router.ctrl_credits[port])):
+                    credits = router.ctrl_credits[port][vc]
+                    staged = committed[node].get((port, vc), 0)
+                    # The audit must see in-flight items without draining
+                    # them -- the sanctioned pipeline peek, as for VC links.
+                    flits_on_wire = sum(
+                        1
+                        # frfc-lint: disable-next-line=D006
+                        for slot in ctrl_link._slots
+                        for flit in slot
+                        if flit.vcid == vc
+                    )
+                    credits_on_wire = sum(
+                        1
+                        # frfc-lint: disable-next-line=D006
+                        for slot in credit_link._slots
+                        for sent_vc in slot
+                        if sent_vc == vc
+                    )
+                    held = downstream._ctrl_credited[in_port][vc]
+                    loop = credits + staged + flits_on_wire + credits_on_wire + held
+                    if loop != capacity:
+                        raise InvariantViolation(
+                            f"control credit loop broken at {self._where(node, port, now)} "
+                            f"vc {vc}: {credits} credits held + {staged} committed "
+                            f"+ {flits_on_wire} flits on wire + {credits_on_wire} "
+                            f"credits on wire + {held} buffered downstream = {loop}, "
+                            f"expected {capacity}",
+                            node=node, port=port, cycle=now,
+                        )
+        for node, interface in enumerate(network.interfaces):
+            router = network.routers[node]
+            for vc, credits in enumerate(interface._ctrl_credits):
+                held = router._ctrl_credited[INJECT][vc]
+                if credits + held != capacity:
+                    raise InvariantViolation(
+                        f"control credit loop broken at {self._where(node, INJECT, now)} "
+                        f"vc {vc}: {credits} NI credits + {held} buffered = "
+                        f"{credits + held}, expected {capacity}",
+                        node=node, port=INJECT, cycle=now,
+                    )
 
     def _check_pool(self, pool: object, node: int, port: int, now: int) -> None:
         from repro.core.buffer_pool import BufferPool

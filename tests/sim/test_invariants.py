@@ -2,8 +2,8 @@
 
 Clean networks must sail through with the checker attached; deliberately
 corrupted state -- negative buffer credits, double-booked output slots,
-cleared busy bits, an unbalanced credit ledger, a vanished flit -- must be
-caught within one cycle of the corruption.
+cleared busy bits, an unbalanced credit ledger, a vanished flit, a lost
+control credit -- must be caught within one cycle of the corruption.
 """
 
 from dataclasses import replace
@@ -17,6 +17,7 @@ from repro.core.config import FR6
 from repro.harness.experiment import build_network, run_experiment
 from repro.sim.invariants import InvariantChecker, InvariantViolation
 from repro.sim.kernel import Simulator
+from repro.topology.mesh import INJECT
 
 WARM_CYCLES = 120
 
@@ -201,6 +202,48 @@ class TestFlitConservation:
         with pytest.raises(InvariantViolation) as excinfo:
             simulator.step()
         assert "conservation" in str(excinfo.value)
+
+
+class TestControlPlaneConservation:
+    def test_evaporated_control_credit_caught_within_one_cycle(self):
+        network, simulator = warmed_fr(seed=3, load=0.5)
+        router = next(r for r in network.routers if r.connected_outputs)
+        port = router.connected_outputs[0]
+        router.ctrl_credits[port][1] -= 1  # a control credit evaporates
+        with pytest.raises(InvariantViolation, match="control credit loop") as excinfo:
+            simulator.step()
+        assert (excinfo.value.node, excinfo.value.port) == (router.node, port)
+        assert excinfo.value.cycle == simulator.cycle
+
+    def test_phantom_ni_control_credit_caught(self):
+        network, simulator = warmed_fr(seed=7)
+        network.interfaces[6]._ctrl_credits[0] += 1  # a credit the router never returned
+        with pytest.raises(InvariantViolation, match="NI credits") as excinfo:
+            simulator.step()
+        assert (excinfo.value.node, excinfo.value.port) == (6, INJECT)
+
+    def test_credited_occupancy_mirror_drift_caught(self):
+        network, simulator = warmed_fr(seed=8)
+        router, port, vc = next(
+            (router, port, vc)
+            for router in network.routers
+            for port, queues in enumerate(router.ctrl_queues)
+            for vc, queue in enumerate(queues)
+            if not queue and router._ctrl_credited[port][vc] == 0
+        )
+        router._ctrl_credited[port][vc] += 1  # a buffer counted as held, empty
+        with pytest.raises(InvariantViolation, match="mirror drifted") as excinfo:
+            simulator.step()
+        assert excinfo.value.node == router.node
+
+    def test_queue_count_drift_caught(self):
+        network, simulator = warmed_fr(seed=9)
+        router = network.routers[10]
+        router._ctrl_count[INJECT] += 1
+        router._ctrl_total += 1
+        with pytest.raises(InvariantViolation, match="control queue count") as excinfo:
+            simulator.step()
+        assert (excinfo.value.node, excinfo.value.port) == (10, INJECT)
 
 
 class TestVCInvariants:

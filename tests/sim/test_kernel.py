@@ -7,7 +7,7 @@ import pytest
 from repro import FR6
 from repro.harness.experiment import build_network
 from repro.sim.kernel import SimulationError, Simulator
-from repro.topology.mesh import Mesh2D
+from repro.topology.mesh import PORT_NAMES, Mesh2D
 
 
 class CountingNetwork:
@@ -82,6 +82,36 @@ class TestStallReport:
             f"oldest #{oldest.packet_id} from node {oldest.source} to node "
             f"{oldest.destination}, created at cycle {oldest.creation_cycle}"
         ) in message
+
+    def test_fr_report_names_head_control_flits_and_ni_backlogs(self):
+        network = build_network(FR6, 1.0, mesh=Mesh2D(4, 4), seed=1)
+        sim = Simulator(network)
+        with pytest.raises(SimulationError) as caught:
+            sim.run_until(lambda: False, deadline=60)
+        message = str(caught.value)
+        control_flags = network.phases[0].flags
+        heads = re.findall(
+            r"router (\d+) (\w+) vc (\d+): head control flit of packet #(\d+) "
+            r"\((\d+) queued\), unscheduled (\d+), forward_at (-?\d+)",
+            message,
+        )
+        assert heads, message
+        port_numbers = {name: port for port, name in PORT_NAMES.items()}
+        for node, port, vc, packet_id, queued, unscheduled, forward_at in heads:
+            router = network.routers[int(node)]
+            assert control_flags[router.node] == 1
+            queue = router.ctrl_queues[port_numbers[port]][int(vc)]
+            head = queue[0]
+            assert (head.packet.packet_id, len(queue), head.unscheduled, head.forward_at) == (
+                int(packet_id), int(queued), int(unscheduled), int(forward_at)
+            )
+        backlogs = re.findall(r"NI (\d+): (\d+) packets queued, current packet (#\d+|none)", message)
+        assert len(backlogs) == sum(1 for ni in network.interfaces if ni.packets_pending)
+        for node, queued, current in backlogs:
+            interface = network.interfaces[int(node)]
+            assert int(queued) == interface.packets_pending > 0
+            if interface.control_queue:
+                assert current == f"#{interface.control_queue[0].packet.packet_id}"
 
     def test_a_network_without_a_report_keeps_the_plain_message(self):
         sim = Simulator(CountingNetwork())
