@@ -1,4 +1,4 @@
-"""Whole-model analysis: deadlock proofs, order differs, replay witness.
+"""Whole-model analysis: order differs and the replay witness.
 
 This subpackage reasons about the simulator *as a model*, complementing the
 per-file lint pass in :mod:`repro.lint` and the runtime
@@ -7,11 +7,6 @@ per-file lint pass in :mod:`repro.lint` and the runtime
 * :mod:`repro.analysis.imports` -- import-graph primitives (``repro.*``
   import closure of a module); the only module here that a measured path
   loads, through the run ledger's code digest.
-* :mod:`repro.analysis.cdg` -- channel-dependency-graph deadlock prover:
-  certifies a routing function deadlock-free (with a checkable rank
-  certificate) or exhibits the exact offending channel cycle.
-* :mod:`repro.analysis.broken_routing` -- deliberately deadlock-prone
-  routing fixtures the prover must catch.
 * :mod:`repro.analysis.permute` -- runtime order-permutation differ: the
   phase-order independence gate, re-running a seeded workload per model
   under the natural, reversed and shuffled router evaluation orders and

@@ -69,6 +69,11 @@ class VCNodeInterface:
         """Packets waiting or partially injected (the warm-up signal)."""
         return len(self.packet_queue) + (1 if self._pending else 0)
 
+    @property
+    def current_packet(self) -> Packet | None:
+        """The packet whose flits are being injected, if one is under way."""
+        return self._pending[0].packet if self._pending else None
+
     def inject(self, cycle: int) -> bool:
         """Try to push one flit into the router's local input this cycle.
 

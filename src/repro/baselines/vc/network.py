@@ -15,6 +15,7 @@ phase without any event queue.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable
 
 from repro.baselines.vc.config import VCConfig
@@ -23,7 +24,10 @@ from repro.baselines.vc.interface import VCNodeInterface
 from repro.baselines.vc.router import VCRouter
 from repro.sim.link import Link
 from repro.sim.netbase import NetworkModel, PacketAccounting
-from repro.topology.mesh import Mesh2D, opposite_port
+from repro.topology.mesh import EJECT, PORT_NAMES, Mesh2D, opposite_port
+
+#: Queued packet ids a stall report names per NI before it elides the rest.
+_SHOWN_PACKETS = 8
 
 
 class VCNetwork(NetworkModel):
@@ -103,6 +107,52 @@ class VCNetwork(NetworkModel):
         self._admit_packets(cycle)
         self._sweep(self._allocation, cycle)
         self._sample_occupancy(cycle)
+
+    def stall_report(self) -> str:
+        """The base report, then what the routers and NIs hold: the head flit
+        of each non-empty input VC at every awake router, with its routed
+        output, output VC and the credits left on that VC, and every NI's
+        queued packets."""
+        lines = [super().stall_report()]
+        awake = self._switching[0].flags
+        for router in self.routers:
+            if not awake[router.node]:
+                continue
+            for port, queues in enumerate(router.in_queues):
+                for vc, queue in enumerate(queues):
+                    if not queue:
+                        continue
+                    flit = queue[0]
+                    out_port = router.in_route[port][vc]
+                    out_vc = router.in_out_vc[port][vc]
+                    if out_port == -1:
+                        route = "unrouted"
+                    elif out_port == EJECT:
+                        route = "output local (eject)"
+                    else:
+                        credits = router.out_credits[out_port][out_vc]
+                        route = (
+                            f"output {PORT_NAMES[out_port]} vc {out_vc}, "
+                            f"{credits} credits left"
+                        )
+                    lines.append(
+                        f"  router {router.node} {PORT_NAMES[port]} vc {vc}: head flit "
+                        f"of packet #{flit.packet.packet_id} (head {flit.is_head}, "
+                        f"tail {flit.is_tail}, {len(queue)} queued), {route}"
+                    )
+        for node, interface in enumerate(self.interfaces):
+            if interface.queue_length:
+                waiting = interface.packet_queue
+                shown = [f"#{packet.packet_id}" for packet in islice(waiting, _SHOWN_PACKETS)]
+                if len(waiting) > _SHOWN_PACKETS:
+                    shown.append("...")
+                current = interface.current_packet
+                injecting = "none" if current is None else f"#{current.packet_id}"
+                lines.append(
+                    f"  NI {node}: {len(waiting)} packets queued "
+                    f"({', '.join(shown) or 'none'}), injecting {injecting}"
+                )
+        return "\n".join(lines)
 
 
 def _ejector(node: int, accounting: PacketAccounting) -> Callable[[VCFlit, int], None]:

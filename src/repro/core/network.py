@@ -158,21 +158,38 @@ class FRNetwork(NetworkModel):
     def stall_report(self) -> str:
         """The base report, then what the control plane holds: the head
         control flit of each non-empty control VC at every router awake in
-        the control phase, and every NI's backlog."""
+        the control phase -- with, while it still has flits to schedule and
+        its output is routed, that output table's busy slots and its free
+        downstream buffers at the end of the window -- and every NI's
+        backlog."""
         lines = [super().stall_report()]
         for router in self.routers:
             if not self._control_flags[router.node]:
                 continue
             for port, queues in enumerate(router.ctrl_queues):
                 for vc, queue in enumerate(queues):
-                    if queue:
-                        flit = queue[0]
-                        lines.append(
-                            f"  router {router.node} {PORT_NAMES[port]} vc {vc}: head "
-                            f"control flit of packet #{flit.packet.packet_id} "
-                            f"({len(queue)} queued), unscheduled {flit.unscheduled}, "
-                            f"forward_at {flit.forward_at}"
+                    if not queue:
+                        continue
+                    flit = queue[0]
+                    line = (
+                        f"  router {router.node} {PORT_NAMES[port]} vc {vc}: head "
+                        f"control flit of packet #{flit.packet.packet_id} "
+                        f"({len(queue)} queued), unscheduled {flit.unscheduled}, "
+                        f"forward_at {flit.forward_at}"
+                    )
+                    entry = router.route_table[port][vc]
+                    if flit.unscheduled and entry is not None:
+                        table = router.out_tables[entry[0]]
+                        free = (
+                            "unbounded"
+                            if table.infinite_buffers
+                            else table.free_buffers_at(table.window_end)
                         )
+                        line += (
+                            f"; output {PORT_NAMES[entry[0]]} table: "
+                            f"{table.busy_slots()} busy slots, {free} free at window end"
+                        )
+                    lines.append(line)
         for node, interface in enumerate(self.interfaces):
             if interface.packets_pending:
                 queue = interface.control_queue

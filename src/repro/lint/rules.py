@@ -362,7 +362,7 @@ class NoForeignPrivateState(Rule):
 
     #: Link's pipeline internals; reading them outside sim/link.py couples
     #: an observer to sub-cycle link state the pipeline API hides.
-    LINK_PRIVATE_NAMES = frozenset({"_slots", "_sent_this_cycle", "_last_send_cycle"})
+    LINK_PRIVATE_NAMES = frozenset({"_slots"})
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         in_link_module = Path(path).name == "link.py" and "sim" in Path(path).parts

@@ -71,6 +71,12 @@ DEFAULT_STORE = ".frfc/runs"
 #: so ``scan``, ``resolve`` and every "is the store filled" glob pass it by.
 _MEMO_NAME = "imports.memo"
 
+#: sha256 of a module's bytes -> its import statements as written.  A pure
+#: function of the bytes, so it is shared by every store in the process: a
+#: fresh store (a new sweep's ledger) still reads and hashes every module,
+#: but parses only bytes this process has never parsed.
+_PARSED_IMPORTS: dict[str, Sequence[RawImport]] = {}
+
 #: Where every model's digest closure starts, besides the model's own
 #: modules: the harness entry, and the observation session, which computes
 #: the attribution summary, profile and ``events_dropped`` an observed record
@@ -157,7 +163,10 @@ class _ImportMemo:
         self.hashes[module] = sha
         entry = self._entries.get(module)
         if entry is None or entry["sha256"] != sha:
-            entry = {"sha256": sha, "imports": raw_imports(ast.parse(source))}
+            parsed = _PARSED_IMPORTS.get(sha)
+            if parsed is None:
+                parsed = _PARSED_IMPORTS[sha] = raw_imports(ast.parse(source))
+            entry = {"sha256": sha, "imports": parsed}
             self._entries[module] = entry
             self._stale = True
         imports: Sequence[RawImport] = entry["imports"]

@@ -51,7 +51,10 @@ class Link(Generic[T]):
     Items sent during cycle ``c`` are delivered by :meth:`receive` at cycle
     ``c + delay``.  Internally the in-flight items live in a circular buffer
     of ``delay + 1`` slots indexed by absolute cycle, so both operations are
-    O(1) and no per-cycle sliding work is needed for idle links.
+    O(1) and no per-cycle sliding work is needed for idle links.  A consumer
+    drains each slot in its arrival cycle (the activity kernel keeps it
+    awake while ``pending``), so the slot a send appends to holds exactly
+    that cycle's launches, and its length is the width count.
     """
 
     __slots__ = (
@@ -62,8 +65,6 @@ class Link(Generic[T]):
         "next_arrival",
         "_slots",
         "_mod",
-        "_sent_this_cycle",
-        "_last_send_cycle",
         "_wake_flags",
         "_wake_index",
     )
@@ -82,8 +83,6 @@ class Link(Generic[T]):
         self.next_arrival = _NEVER
         self._slots: list[list[T]] = [[] for _ in range(delay + 1)]
         self._mod = delay + 1  # circular-buffer modulus, hoisted off the hot path
-        self._sent_this_cycle = 0
-        self._last_send_cycle = -1
         self._wake_flags: Optional[bytearray] = None
         self._wake_index = 0
 
@@ -94,33 +93,25 @@ class Link(Generic[T]):
 
     def send(self, item: T, cycle: int) -> None:
         """Launch ``item`` onto the wire during ``cycle``."""
-        if cycle != self._last_send_cycle:
-            # First launch of the cycle can never overflow (width >= 1).
-            self._last_send_cycle = cycle
-            self._sent_this_cycle = 1
-        else:
-            count = self._sent_this_cycle + 1
-            if count > self.width:
-                raise LinkOverflowError(
-                    f"link of width {self.width} asked to carry more than "
-                    f"{self.width} items in cycle {cycle}"
-                )
-            self._sent_this_cycle = count
+        arrival = cycle + self.delay
+        batch = self._slots[arrival % self._mod]
+        if len(batch) >= self.width:
+            raise LinkOverflowError(
+                f"link of width {self.width} asked to carry more than "
+                f"{self.width} items in cycle {cycle}"
+            )
+        batch.append(item)
         self.total_sent += 1
         self.pending += 1
-        arrival = cycle + self.delay
         if arrival < self.next_arrival:
             self.next_arrival = arrival
-        self._slots[arrival % self._mod].append(item)
         wake = self._wake_flags
         if wake is not None:
             wake[self._wake_index] = 1
 
     def capacity_remaining(self, cycle: int) -> int:
         """How many more items can still be launched during ``cycle``."""
-        if cycle != self._last_send_cycle:
-            return self.width
-        return self.width - self._sent_this_cycle
+        return self.width - len(self._slots[(cycle + self.delay) % self._mod])
 
     def receive(self, cycle: int) -> list[T]:
         """Drain and return the items arriving at ``cycle``.

@@ -67,9 +67,8 @@ class RoutingLoopError(ValueError):
     """A routing function revisited a node, so the packet can never arrive.
 
     Carries the offending ``cycle`` (the node sequence from the first visit
-    of the repeated node back to itself) so analysis tools -- notably the
-    channel-dependency-graph builder in :mod:`repro.analysis.cdg` -- can
-    report the exact livelock instead of a generic hop-count overflow.
+    of the repeated node back to itself), so a caller can report the exact
+    livelock instead of a generic hop-count overflow.
     """
 
     def __init__(self, src: int, dst: int, cycle: list[int]) -> None:
@@ -86,8 +85,9 @@ class RoutingLoopError(ValueError):
 def route_path(routing: RoutingFunction, mesh: Mesh2D, src: int, dst: int) -> list[int]:
     """The full node sequence a packet visits from ``src`` to ``dst``.
 
-    Used by tests and analysis tools; the simulators themselves route hop by
-    hop.  A deterministic routing function that revisits any node can never
+    Used by tests (among them the channel-dependency deadlock check in
+    ``tests/topology/test_routing.py``); the simulators themselves route hop
+    by hop.  A deterministic routing function that revisits any node can never
     deliver the packet, so the walk keeps a visited set and raises
     :class:`RoutingLoopError` naming the exact node cycle on the first
     revisit, rather than only after ``num_nodes`` hops.

@@ -19,26 +19,6 @@ def cli():
     return module
 
 
-class TestCdgCommand:
-    def test_self_check_passes(self, cli, capsys):
-        assert cli.main(["cdg", "--mesh", "4x4"]) == 0
-        out = capsys.readouterr().out
-        assert "OK: xy is deadlock-free" in out
-        assert "OK: yx-mixed is deadlock-prone" in out
-        assert "OK: adaptive-noescape is deadlock-prone" in out
-
-    def test_single_clean_routing_exit_zero(self, cli, capsys):
-        assert cli.main(["cdg", "--routing", "xy", "--mesh", "4x4"]) == 0
-
-    def test_single_broken_routing_exit_one(self, cli, capsys):
-        assert cli.main(["cdg", "--routing", "yx-mixed", "--mesh", "4x4"]) == 1
-        assert "DEADLOCK" in capsys.readouterr().out
-
-    def test_bad_mesh_spec_rejected(self, cli):
-        with pytest.raises(SystemExit):
-            cli.main(["cdg", "--mesh", "wide"])
-
-
 class TestPermuteCommand:
     def test_bit_identical_exit_zero(self, cli, capsys):
         assert cli.main(["permute", "--orders", "3", "--cycles", "120"]) == 0
@@ -81,3 +61,7 @@ class TestPermuteCommand:
         captured = capsys.readouterr()
         assert "DIVERGED: WH8" in captured.out
         assert "replay diverged in WH8" in captured.err
+
+    def test_bad_mesh_spec_rejected(self, cli):
+        with pytest.raises(SystemExit, match="bad mesh spec 'wide'"):
+            cli.main(["permute", "--mesh", "wide"])

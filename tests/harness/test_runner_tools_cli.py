@@ -42,9 +42,9 @@ class TestUtilizationCommand:
 
 
 class TestAnalyzeGate:
-    """`frfc --analyze` runs the cdg + permute/replay gates up front."""
+    """`frfc --analyze` runs the permute/replay gates up front."""
 
-    def test_gate_passes_and_names_all_three_proofs(self, capsys):
+    def test_gate_passes_and_names_both_checks(self, capsys):
         assert (
             runner.main(
                 ["--analyze", "trace", "FR6", "--packet", "1", "--cycles", "200"]
@@ -52,7 +52,6 @@ class TestAnalyzeGate:
             == 0
         )
         out = capsys.readouterr().out
-        assert "deadlock-free" in out
         assert "order-independent" in out
         assert "replay identically" in out
 

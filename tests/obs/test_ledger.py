@@ -493,6 +493,17 @@ def test_warm_digest_parses_nothing_and_leaves_the_memo_alone(tmp_path):
     write.assert_not_called()
 
 
+def test_a_fresh_store_parses_nothing_this_process_has_parsed(tmp_path):
+    """Parsed imports are shared across stores by the sha256 of the bytes: a
+    second fresh store still reads and hashes every module, but parses none,
+    and writes the same memo file as the first."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    digests = _digests(first)
+    with mock.patch.object(ledger_module.ast, "parse", side_effect=AssertionError("parsed")):
+        assert _digests(second) == digests
+    assert _memo(second).read_bytes() == _memo(first).read_bytes()
+
+
 def _truncate(text: str) -> str:
     return text[: len(text) // 2]
 
@@ -622,7 +633,7 @@ def _add_import(edits, store, step):
 
 def _add_submodule(edits, store, step):
     # With _add_import, `ghost` turns from a name into a module edge.
-    edits["repro.obs.ghost"] = b"import repro.analysis.cdg  # %d\n" % step
+    edits["repro.obs.ghost"] = b"import repro.overhead.storage  # %d\n" % step
 
 
 def _delete_memo(edits, store, step):

@@ -1,14 +1,7 @@
 #!/usr/bin/env python
 """Command-line front end for the whole-model analyzers in repro.analysis.
 
-Two subcommands, each a CI gate (exit 0 = property holds):
-
-``cdg``
-    Channel-dependency-graph deadlock prover.  With no arguments it runs
-    the full self-check: certifies the shipped XY routing deadlock-free on
-    the 8x8 mesh *and* confirms the prover names a concrete channel cycle
-    for both intentionally broken routing fixtures.  ``--routing`` picks a
-    single routing function instead.
+One subcommand, a CI gate (exit 0 = property holds):
 
 ``permute``
     Runtime order-permutation differ and replay witness: re-runs one
@@ -21,8 +14,6 @@ Two subcommands, each a CI gate (exit 0 = property holds):
 
 Usage::
 
-    python tools/frfc_analyze.py cdg
-    python tools/frfc_analyze.py cdg --routing yx-mixed --mesh 4x4
     python tools/frfc_analyze.py permute --orders 5 --cycles 400
 
 The repository's own ``src`` directory is put on ``sys.path``
@@ -55,52 +46,6 @@ def _parse_mesh(text: str):
         return Mesh2D(width, height)
     except ValueError as error:
         raise SystemExit(f"frfc-analyze: {error}") from None
-
-
-def _make_routing(name: str, mesh):
-    from repro.analysis.broken_routing import GreedyDimensionRouting, YXMixedRouting
-    from repro.topology.routing import DimensionOrderRouting
-
-    factories = {
-        "xy": DimensionOrderRouting,
-        "yx-mixed": YXMixedRouting,
-        "adaptive-noescape": GreedyDimensionRouting,
-    }
-    return factories[name](mesh)
-
-
-def _cmd_cdg(args: argparse.Namespace) -> int:
-    from repro.analysis.cdg import prove_deadlock_freedom
-
-    mesh = _parse_mesh(args.mesh)
-    if args.routing is not None:
-        report = prove_deadlock_freedom(
-            _make_routing(args.routing, mesh), mesh, routing_name=args.routing
-        )
-        print(report.format())
-        return 0 if report.deadlock_free else 1
-
-    # Self-check mode: the shipped routing must certify clean AND the
-    # prover must demonstrably catch both broken fixtures.
-    failures = 0
-    for name, expect_free in (
-        ("xy", True),
-        ("yx-mixed", False),
-        ("adaptive-noescape", False),
-    ):
-        report = prove_deadlock_freedom(
-            _make_routing(name, mesh), mesh, routing_name=name
-        )
-        print(report.format())
-        verdict = "deadlock-free" if report.deadlock_free else "deadlock-prone"
-        expected = "deadlock-free" if expect_free else "deadlock-prone"
-        if report.deadlock_free is expect_free:
-            print(f"  OK: {name} is {verdict}, as expected")
-        else:
-            print(f"  FAIL: {name} is {verdict}, expected {expected}")
-            failures += 1
-        print()
-    return 1 if failures else 0
 
 
 def _cmd_permute(args: argparse.Namespace) -> int:
@@ -160,16 +105,6 @@ def main(argv: list[str] | None = None) -> int:
         description="Whole-model analysis for the FRFC simulator.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    cdg = subparsers.add_parser("cdg", help="channel-dependency deadlock prover")
-    cdg.add_argument(
-        "--routing",
-        choices=("xy", "yx-mixed", "adaptive-noescape"),
-        default=None,
-        help="prove one routing function (default: self-check all three)",
-    )
-    cdg.add_argument("--mesh", default="8x8", help="mesh as WxH (default 8x8)")
-    cdg.set_defaults(func=_cmd_cdg)
 
     permute = subparsers.add_parser(
         "permute", help="runtime order-permutation differ and replay witness"
