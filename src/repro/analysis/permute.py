@@ -40,7 +40,6 @@ a result all show up as a leg that disagrees.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import subprocess
 import sys
@@ -100,6 +99,8 @@ class RunDigest:
                 self.extras,
             )
         )
+        import hashlib
+
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def diff_fields(self, other: "RunDigest") -> list[str]:
@@ -346,6 +347,8 @@ def replay_digest(
             mesh=mesh,
         )
         payload = repr([asdict(point) for point in sweep.points])
+        import hashlib
+
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
     config = next(config for config in SHIPPED_CONFIGS if config.name == row)
     digest = _run_once(

@@ -52,7 +52,6 @@ from repro.harness.experiment import AnyConfig, run_experiment
 from repro.harness.saturation import find_saturation
 from repro.harness.tables import format_table1, format_table2, table1, table2, table3
 from repro.harness.sweep import run_load_sweep
-from repro.sim.invariants import InvariantChecker
 
 CONFIGS: dict[str, AnyConfig] = {
     "VC8": VC8,
@@ -405,7 +404,11 @@ def _stepped(args: argparse.Namespace) -> "tuple[NetworkModel, Simulator]":
     from repro.sim.kernel import Simulator
 
     network = build_network(_config(args.config), args.load, seed=args.seed)
-    checker = InvariantChecker() if args.check_invariants else None
+    checker = None
+    if args.check_invariants:
+        from repro.sim.invariants import InvariantChecker
+
+        checker = InvariantChecker()
     return network, Simulator(network, checker=checker)
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -106,6 +105,8 @@ def canonical_json(payload: Any) -> str:
 
 def content_digest(payload: Any) -> str:
     """SHA-256 hex digest of the canonical JSON form of ``payload``."""
+    import hashlib
+
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
@@ -159,6 +160,8 @@ class _ImportMemo:
         if source is None:
             self._answered[module] = None
             return None
+        import hashlib
+
         sha = hashlib.sha256(source).hexdigest()
         self.hashes[module] = sha
         entry = self._entries.get(module)
@@ -251,6 +254,8 @@ class RunLedger:
         cached = self._code_digests.get(model)
         if cached is not None:
             return cached
+        import hashlib
+
         digest = hashlib.sha256()
         for module, sha in self._closure(model).items():
             digest.update(module.encode("utf-8"))

@@ -223,9 +223,9 @@ def test_ledgered_sweep_loads_no_prover(tmp_path) -> None:
     assert listing.stdout.strip() == "['repro.analysis.imports']"
 
 
-#: Modules only an optional output, its writer, the sanitizer or the git SHA
-#: needs, plus `statistics`, which nothing in `src/` imports: a plain point
-#: must not load them.
+#: Modules only an optional output, its writer, the sanitizer, the git SHA or
+#: a ledger digest needs, plus `statistics`, which nothing in `src/` imports:
+#: a plain point must not load them.  `_hashlib` brings OpenSSL's libcrypto.
 OPTIONAL_OUTPUT_MODULES = frozenset(
     {
         "repro.obs.attribution",
@@ -240,13 +240,15 @@ OPTIONAL_OUTPUT_MODULES = frozenset(
         "csv",
         "subprocess",
         "statistics",
+        "hashlib",
+        "_hashlib",
     }
 )
 
 
-def _fresh_modules(script: str) -> set[str]:
+def _fresh_modules(script: str, *argv: str) -> set[str]:
     listing = subprocess.run(
-        [sys.executable, "-c", script + "\nimport sys\nprint(\"\\n\".join(sys.modules))"],
+        [sys.executable, "-c", script + "\nimport sys\nprint(\"\\n\".join(sys.modules))", *argv],
         capture_output=True,
         text=True,
         check=True,
@@ -259,7 +261,8 @@ def test_plain_point_loads_no_optional_output_module() -> None:
     """Start-up pays only for what the run uses: with the imports of a
     ledgered, observable harness in place (those of ``bench/workloads.py``),
     one plain FR6 point still loads no observer, writer, sanitizer, ``csv``,
-    ``subprocess`` or ``statistics`` beyond what a bare interpreter holds."""
+    ``subprocess``, ``statistics`` or ``hashlib`` beyond what a bare
+    interpreter holds."""
     bare = _fresh_modules("")
     loaded = _fresh_modules(
         "from repro import FR6, VC8, Mesh2D, WormholeConfig\n"
@@ -289,6 +292,23 @@ _SWEEPS = (
     "                         ledger=ledger, jobs=1)\n"
     "          for config, loads in ((FR6, [0.2, 0.5]), (VC8, [0.2, 0.4]))]\n"
 )
+
+
+def test_cli_import_loads_no_sanitizer_or_hashlib() -> None:
+    """``frfc`` imports the sanitizer under ``--check-invariants`` and
+    ``hashlib`` at a ledger's first digest, so a command that asks for
+    neither loads neither."""
+    bare = _fresh_modules("")
+    loaded = _fresh_modules("import repro.harness.runner")
+    assert "repro.harness.runner" in loaded
+    assert sorted((loaded - bare) & {"repro.sim.invariants", "hashlib", "_hashlib"}) == []
+
+
+def test_ledgered_sweep_loads_hashlib(tmp_path) -> None:
+    """Positive control for the two witnesses above: a ledgered sweep hashes,
+    and the module listing they read does show ``_hashlib`` when it loads."""
+    loaded = _fresh_modules(_SWEEPS, str(tmp_path / "runs"))
+    assert {"hashlib", "_hashlib"} <= loaded
 
 
 def _in_fresh_interpreter(script: str, store) -> str:
