@@ -13,8 +13,8 @@ Run:  python examples/trace_a_packet.py [--load 0.4] [--packet 5]
 import argparse
 
 from repro import FR6, Simulator, build_network
+from repro.obs.spatial import SpatialMetricsRegistry, format_link_utilization
 from repro.obs.trace import TraceLog
-from repro.stats.utilization import measure_channel_utilization
 
 
 def main() -> None:
@@ -46,8 +46,11 @@ def main() -> None:
           "destination (ejected the cycle they arrived).")
 
     print("\nWhere the data network is working:")
-    report = measure_channel_utilization(network, simulator, cycles=1_000)
-    print(report.format(count=6))
+    registry = SpatialMetricsRegistry()
+    registry.install_standard_instruments(network, simulator.cycle)
+    simulator.step(1_000)
+    row = registry.row(network, simulator.cycle - 1)
+    print(format_link_utilization(registry, row, count=6))
 
 
 if __name__ == "__main__":

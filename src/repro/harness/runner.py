@@ -625,11 +625,15 @@ def _trace(args: argparse.Namespace) -> None:
 
 
 def _utilization(args: argparse.Namespace) -> None:
-    from repro.stats.utilization import measure_channel_utilization
+    from repro.obs.spatial import SpatialMetricsRegistry, format_link_utilization
 
     network, simulator = _stepped(args)
     simulator.step(max(500, args.cycles // 4))  # warm up
-    print(measure_channel_utilization(network, simulator, args.cycles).format(count=8))
+    registry = SpatialMetricsRegistry()
+    registry.install_standard_instruments(network, simulator.cycle)
+    simulator.step(args.cycles)
+    row = registry.row(network, simulator.cycle - 1)
+    print(format_link_utilization(registry, row, count=8))
 
 
 def _runs(args: argparse.Namespace) -> None:

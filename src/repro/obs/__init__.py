@@ -13,8 +13,8 @@ The layer has five parts:
   wires one bus into a flit-reservation, virtual-channel, or wormhole
   network through the routers' observability hooks (attach/detach);
 * :mod:`repro.obs.metrics` -- the :class:`~repro.obs.metrics.MetricsRegistry`
-  of gauges and a sampled timeseries with the built-in
-  channel-utilization / occupancy / stall / backpressure instruments;
+  of gauges and a sampled timeseries whose built-in channel-utilization /
+  occupancy / stall / backpressure columns reduce the spatial rows;
 * :mod:`repro.obs.attribution` (+ :mod:`repro.obs.report`) -- the
   :class:`~repro.obs.attribution.LatencyAttributor` that reconstructs each
   packet's critical path from bus events and decomposes its latency into
@@ -22,7 +22,8 @@ The layer has five parts:
   tables, JSON artifact, and Perfetto waterfall built on top;
 * :mod:`repro.obs.spatial` (+ :mod:`repro.obs.heatmap`) -- the
   :class:`~repro.obs.spatial.SpatialMetricsRegistry` of per-router /
-  per-link / per-reservation-table instruments and the
+  per-link / per-reservation-table instruments (the one reader of data-link
+  traffic, behind ``frfc utilization`` too) and the
   ``frfc-heatmap/1`` exporter with ASCII/SVG mesh renderers and the
   hotspot detector behind ``frfc heatmap``;
 * :mod:`repro.obs.exporters` (+ :mod:`repro.obs.manifest`,

@@ -6,29 +6,22 @@ to the simulator as an observer, it samples its instruments every
 CSV exporter's data source).  Instruments never influence the network --
 they only *read* public router state, exactly like the stats collectors.
 
-``install_standard_instruments`` wires up the four built-ins the paper's
-evaluation leans on:
-
-* ``channel_utilization`` -- mean busy fraction of the data links over the
-  last sampling interval (the quantity of paper Figure 7's x-axis);
-* ``buffer_occupancy`` -- total occupied input data buffers network-wide
-  (Section 4.2 tracks one pool; this is the whole-network view);
-* ``reservation_occupancy`` -- busy slots summed over every output
-  reservation table (FR only; reservation-table pressure, Section 4.4);
-* ``credit_stalls`` -- cumulative control flits that failed to schedule
-  their data flits (FR only; the ``schedule_stalls`` diagnostic);
-* ``injection_backpressure`` -- network-wide mean source queue length (the
-  warm-up signal, here exported over time).
-
-Every instrument here is a network-wide scalar; the per-router / per-link
-resolved counterparts (and the ``frfc heatmap`` renderers on top of them)
-live in :mod:`repro.obs.spatial`.
+``install_standard_instruments`` wires up the built-ins the paper's
+evaluation leans on -- ``channel_utilization`` (paper Figure 7's x-axis),
+``buffer_occupancy``, ``reservation_occupancy`` and ``credit_stalls`` (FR
+only) and ``injection_backpressure``.  Each is a network-wide reduction,
+from integer counts, of the row that the registry's
+:class:`~repro.obs.spatial.SpatialMetricsRegistry` (``spatial``, the one
+reader of router and link state) takes on the same cycle; the definitions
+are tabled in ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
+
+from repro.obs.spatial import SpatialMetricsRegistry, SpatialSample
 
 if TYPE_CHECKING:
     from repro.sim.kernel import SteppableNetwork
@@ -65,11 +58,11 @@ class MetricsRegistry:
     The registry samples on cycles where ``cycle % sample_every == 0`` --
     a purely cycle-determined cadence, so identical seeds yield identical
     timeseries regardless of how the run was chunked into ``step`` calls.
+    Its ``spatial`` registry samples on the same cadence.
     """
 
     def __init__(self, sample_every: int = 100) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sampling cadence must be >= 1, got {sample_every}")
+        self.spatial = SpatialMetricsRegistry(sample_every)
         self.sample_every = sample_every
         self.gauges: dict[str, Gauge] = {}
         self.timeseries: list[dict[str, float]] = []
@@ -96,36 +89,31 @@ class MetricsRegistry:
 
     # -- built-in instruments ------------------------------------------------
 
-    def install_standard_instruments(self, network: "NetworkModel") -> None:
-        """Register the built-in channel/buffer/reservation/stall samplers.
+    def install_standard_instruments(self, network: "NetworkModel", start: int = 0) -> None:
+        """Install ``spatial`` on ``network`` and register the reductions of
+        its rows (``start`` as in
+        :meth:`~repro.obs.spatial.SpatialMetricsRegistry.install_standard_instruments`).
 
         Works on any network model; instruments that need flow-control
         specific state (reservation tables, schedule stalls) are installed
-        only where that state exists.
+        only where the spatial registry samples that state.
         """
-        from repro.stats.utilization import _data_links
+        spatial = self.spatial
+        spatial.install_standard_instruments(network, start)
 
-        links = _data_links(network)
-        state = {"sent": sum(link.total_sent for link in links.values()), "cycle": 0}
+        def reduce(reduction: Callable[[SpatialSample], float]) -> Sampler:
+            # Closes over the spatial registry, never over this one.
+            return lambda net, cycle: reduction(spatial.row(net, cycle))
 
-        def channel_utilization(net: "NetworkModel", cycle: int) -> float:
-            sent = sum(link.total_sent for link in links.values())
-            interval = cycle - state["cycle"]
-            delta = sent - state["sent"]
-            state["sent"] = sent
-            state["cycle"] = cycle
-            if interval <= 0 or not links:
-                return 0.0
-            return delta / (interval * len(links))
-
-        self.add_sampler("channel_utilization", channel_utilization)
-        self.add_sampler("buffer_occupancy", _buffer_occupancy)
-        routers: list[Any] = getattr(network, "routers", [])
-        if routers and hasattr(routers[0], "out_tables"):
-            self.add_sampler("reservation_occupancy", _reservation_occupancy)
-        if routers and hasattr(routers[0], "schedule_stalls"):
-            self.add_sampler("credit_stalls", _credit_stalls)
-        self.add_sampler("injection_backpressure", _injection_backpressure)
+        self.add_sampler("channel_utilization", reduce(_channel_utilization))
+        self.add_sampler("buffer_occupancy", reduce(_sum_of("buffer_occupancy")))
+        if "reservation_occupancy" in spatial.node_metrics:
+            self.add_sampler(
+                "reservation_occupancy", reduce(_sum_of("reservation_occupancy"))
+            )
+        if "credit_stalls" in spatial.node_metrics:
+            self.add_sampler("credit_stalls", reduce(_credit_stalls(network)))
+        self.add_sampler("injection_backpressure", reduce(_injection_backpressure))
 
     # -- the CycleHook -------------------------------------------------------
 
@@ -161,32 +149,31 @@ class MetricsRegistry:
         return report
 
 
-# -- standard samplers (module-level so they carry no per-run state) ---------
+# -- reductions of a spatial row (module-level, so none references a registry)
 
 
-def _buffer_occupancy(network: "NetworkModel", cycle: int) -> float:
-    total = 0
-    for router in getattr(network, "routers", []):
-        schedulers = getattr(router, "input_sched", None)
-        if schedulers is not None:  # flit-reservation input pools
-            total += sum(scheduler.occupancy for scheduler in schedulers)
-        else:  # VC/wormhole per-port pools
-            total += sum(router.pool_occupancy)
-    return float(total)
+def _channel_utilization(row: SpatialSample) -> float:
+    flits = row.link_flits
+    if not flits:
+        return 0.0
+    return sum(flits) / ((row.window_end - row.window_start) * len(flits))
 
 
-def _reservation_occupancy(network: "NetworkModel", cycle: int) -> float:
-    total = 0
-    for router in getattr(network, "routers", []):
-        for table in router.out_tables:
-            if table is not None:
-                total += table.busy_slots()
-    return float(total)
+def _sum_of(name: str) -> Callable[[SpatialSample], float]:
+    return lambda row: sum(row.nodes[name])
 
 
-def _credit_stalls(network: "NetworkModel", cycle: int) -> float:
-    return float(sum(router.schedule_stalls for router in getattr(network, "routers", [])))
+def _credit_stalls(network: "NetworkModel") -> Callable[[SpatialSample], float]:
+    """The routers' stalls at install plus every row's since."""
+    total = [float(sum(router.schedule_stalls for router in getattr(network, "routers", [])))]
+
+    def reduction(row: SpatialSample) -> float:
+        total[0] += sum(row.nodes["credit_stalls"])
+        return total[0]
+
+    return reduction
 
 
-def _injection_backpressure(network: "NetworkModel", cycle: int) -> float:
-    return network.mean_source_queue_length()
+def _injection_backpressure(row: SpatialSample) -> float:
+    lengths = row.nodes["injection_backpressure"]
+    return sum(lengths) / len(lengths)

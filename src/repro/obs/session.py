@@ -100,7 +100,13 @@ class ObsSession:
 
             # Like attribution_out, an empty string means "sample but write
             # nothing" -- sweeps aggregate the in-memory rows themselves.
-            self.spatial = SpatialMetricsRegistry(sample_every)
+            # The metrics columns reduce the same rows, so one registry
+            # samples for both.
+            self.spatial = (
+                self.registry.spatial
+                if self.registry is not None
+                else SpatialMetricsRegistry(sample_every)
+            )
         self.profiler: SimProfiler | None = None
         if profile:
             from repro.obs.profile import SimProfiler
@@ -160,9 +166,9 @@ class ObsSession:
             self.attributor.configure_for(network)
         if self._probe is not None:
             self._probe.attach(network)
-        if self.registry is not None:
+        if self.registry is not None:  # installs its spatial registry too
             self.registry.install_standard_instruments(network)
-        if self.spatial is not None:
+        elif self.spatial is not None:
             self.spatial.install_standard_instruments(network)
         return self
 

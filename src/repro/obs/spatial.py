@@ -24,10 +24,16 @@ Contracts, shared with the rest of the observability layer:
 * **half-open windows** -- each row covers the cycle window
   ``[window_start, window_end)`` with ``window_end = cycle + 1``
   (the sampled cycle is the window's last member, matching the
-  ``tests/stats/test_window_semantics.py`` conventions); *rate* metrics
-  (link utilization, credit stalls) are normalised over exactly that
-  window, *level* metrics (occupancies) are the instantaneous value at the
-  window's closing edge.
+  ``tests/stats/test_window_semantics.py`` conventions); the first window
+  opens on the cycle the instruments were installed at, and each later one
+  where the previous closed; *rate* metrics (link utilization, credit
+  stalls) are normalised over exactly that window, *level* metrics
+  (occupancies) are the instantaneous value at the window's closing edge.
+
+This registry is the one reader of network state: the scalar columns of
+:class:`~repro.obs.metrics.MetricsRegistry` are reductions of its rows, and
+``frfc utilization`` prints one window of them
+(:func:`format_link_utilization`).
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import io
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.topology.mesh import PORT_NAMES
+from repro.topology.mesh import EAST, NORTH, PORT_NAMES, SOUTH, WEST
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -61,8 +67,9 @@ class SpatialSample:
 
     ``nodes`` maps metric name to a row-major per-node value list;
     ``links`` maps metric name to per-link values aligned with the
-    registry's ``link_keys``.  The row covers the half-open cycle window
-    ``[window_start, window_end)``.
+    registry's ``link_keys``; ``link_flits`` holds the integer flit counts
+    behind ``link_utilization``, so a reduction over links is exact.  The
+    row covers the half-open cycle window ``[window_start, window_end)``.
     """
 
     cycle: int
@@ -70,6 +77,7 @@ class SpatialSample:
     window_end: int
     nodes: dict[str, list[float]] = field(default_factory=dict)
     links: dict[str, list[float]] = field(default_factory=dict)
+    link_flits: list[int] = field(default_factory=list)
 
 
 class SpatialMetricsRegistry:
@@ -120,18 +128,19 @@ class SpatialMetricsRegistry:
         self.node_metrics[name] = kind
         self._node_samplers.append((name, sampler))
 
-    def install_standard_instruments(self, network: "NetworkModel") -> None:
+    def install_standard_instruments(self, network: "NetworkModel", start: int = 0) -> None:
         """Register the built-in per-coordinate instruments for ``network``.
 
+        ``start`` is the next cycle the network will run; the first window
+        opens there, and rate metrics count from the state it is in now.
         Instruments needing flow-control-specific state (reservation
         tables, schedule stalls) install only where that state exists, so
         FR, VC, and wormhole models all work.
         """
-        from repro.stats.utilization import _data_links
-
         if self._network is not None:
             raise RuntimeError("spatial registry already installed on a network")
         self._network = network
+        self._last_window_end = start
         self.add_node_sampler("buffer_occupancy", LEVEL, _node_buffer_occupancy)
         self.add_node_sampler(
             "injection_backpressure", LEVEL, _node_injection_backpressure
@@ -154,10 +163,17 @@ class SpatialMetricsRegistry:
 
     def check(self, network: "SteppableNetwork", cycle: int) -> None:
         """Observer entry point: sample every coordinate on the cadence."""
-        if cycle % self.sample_every:
-            return
+        if cycle % self.sample_every == 0:
+            self.row(network, cycle)
+
+    def row(self, network: "SteppableNetwork", cycle: int) -> SpatialSample:
+        """The row closing after ``cycle``, sampled now unless it already was.
+
+        A second call on the same cycle (a re-entrant attach, or another
+        reader of the same row) returns the row already taken.
+        """
         if cycle == self._last_sample_cycle:
-            return  # a re-entrant attach must not duplicate the boundary row
+            return self.samples[-1]
         self._last_sample_cycle = cycle
         window_start = self._last_window_end
         window_end = cycle + 1
@@ -170,13 +186,14 @@ class SpatialMetricsRegistry:
             sample.nodes[name] = sampler(network, cycle)  # type: ignore[arg-type]
         if self._links:
             prev = self._link_sent_prev
-            utilization: list[float] = []
+            flits = sample.link_flits
             for index, link in enumerate(self._links):
                 sent = link.total_sent
-                utilization.append((sent - prev[index]) / interval)
+                flits.append(sent - prev[index])
                 prev[index] = sent
-            sample.links["link_utilization"] = utilization
+            sample.links["link_utilization"] = [count / interval for count in flits]
         self.samples.append(sample)
+        return sample
 
     # -- reporting -----------------------------------------------------------
 
@@ -257,10 +274,45 @@ def write_spatial_csv(
     return count
 
 
+def format_link_utilization(
+    registry: SpatialMetricsRegistry, sample: SpatialSample, count: int = 5
+) -> str:
+    """The busy fraction of every data link over one row's window: the mean,
+    the peak and the ``count`` busiest links (ties in link order)."""
+    values = sample.links.get("link_utilization")
+    if not values:
+        raise ValueError("network exposes no data links")
+    ranked = sorted(zip(registry.link_keys, values), key=lambda item: -item[1])
+    lines = [
+        f"data channel utilization over {sample.window_end - sample.window_start} "
+        f"cycles: mean {sum(values) / len(values):.3f}, peak {max(values):.3f}",
+        "hottest channels:",
+    ]
+    for (node, port), value in ranked[:count]:
+        lines.append(f"  node {node:>3} {PORT_NAMES[port]:<6} {value:.3f}")
+    return "\n".join(lines)
+
+
 def _format_value(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return f"{value:.6f}"
+
+
+def _data_links(network: "NetworkModel") -> dict[tuple[int, int], "Link[Any]"]:
+    """Every router-to-router data link, keyed (sending node, port)."""
+    links: dict[tuple[int, int], "Link[Any]"] = {}
+    for router in getattr(network, "routers", []):
+        out_links = getattr(router, "data_out_links", None) or getattr(
+            router, "out_data_links", None
+        )
+        if out_links is None:
+            continue
+        for port in (NORTH, EAST, SOUTH, WEST):
+            link = out_links[port]
+            if link is not None:
+                links[(router.node, port)] = link
+    return links
 
 
 # -- standard node samplers (module-level, so none references the registry) --

@@ -124,15 +124,13 @@ class Simulator:
         self,
         done: Callable[[], bool],
         deadline: Optional[int] = None,
-        check_every: int = 1,
     ) -> int:
         """Step until ``done()`` is true; return the cycle it became true.
 
-        ``deadline`` is an absolute cycle number past which the run is
-        considered stuck and a :class:`SimulationError` is raised; its
-        message carries the network's ``stall_report()`` when it has one.
-        ``check_every`` trades stop-condition precision for speed when the
-        condition is expensive to evaluate.
+        ``done()`` is evaluated after every cycle.  ``deadline`` is an
+        absolute cycle number past which the run is considered stuck and a
+        :class:`SimulationError` is raised; its message carries the
+        network's ``stall_report()`` when it has one.
         """
         limit = self.max_cycles if deadline is None else min(deadline, self.max_cycles)
         while not done():
@@ -143,7 +141,7 @@ class Simulator:
                     "is deadlocked, starved, or the deadline is too tight"
                     + ("" if report is None else "\n" + report())
                 )
-            self.step(check_every)
+            self.step()
         return self.cycle
 
     def __repr__(self) -> str:

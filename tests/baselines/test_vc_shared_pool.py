@@ -27,7 +27,6 @@ class TestSharedPool:
             lambda: not network.packets_in_flight
             and all(ni.queue_length == 0 for ni in network.interfaces),
             deadline=40_000,
-            check_every=5,
         )
         assert network.packets_delivered > 700
 

@@ -46,7 +46,7 @@ class TestBehaviour:
         simulator.step(1_200)
         network.stop_injection()
         simulator.run_until(
-            lambda: not network.packets_in_flight, deadline=10_000, check_every=5
+            lambda: not network.packets_in_flight, deadline=10_000
         )
         assert network.packets_delivered > 80
         assert network.flow_control_name == "WH8"

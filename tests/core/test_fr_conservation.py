@@ -33,7 +33,6 @@ def drained_network(request, mesh4):
         lambda: not network.packets_in_flight
         and all(ni.queue_length == 0 for ni in network.interfaces),
         deadline=40_000,
-        check_every=5,
     )
     # A few extra cycles so in-flight credits land.
     simulator.step(20)

@@ -26,7 +26,6 @@ def run_traffic(config, mesh, cycles, rate, seed=5, **kwargs):
         lambda: not network.packets_in_flight
         and all(ni.queue_length == 0 for ni in network.interfaces),
         deadline=cycles + 20_000,
-        check_every=5,
     )
     return network, simulator
 

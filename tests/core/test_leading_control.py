@@ -18,7 +18,6 @@ def run(config, mesh, cycles=1_200, rate=0.02, seed=4):
         lambda: not network.packets_in_flight
         and all(ni.queue_length == 0 for ni in network.interfaces),
         deadline=cycles + 20_000,
-        check_every=5,
     )
     return network
 

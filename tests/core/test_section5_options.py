@@ -93,7 +93,7 @@ class TestPlesiochronousMargin:
             simulator.step(1_300)
             network.stop_injection()
             simulator.run_until(
-                lambda n=network: not n.packets_in_flight, deadline=20_000, check_every=5
+                lambda n=network: not n.packets_in_flight, deadline=20_000
             )
         assert held.packets_delivered == plain.packets_delivered
         assert held.latency_stats.mean >= plain.latency_stats.mean - 0.5

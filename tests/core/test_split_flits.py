@@ -83,7 +83,6 @@ class TestWideControlUnderLoad:
             lambda: not network.packets_in_flight
             and all(ni.queue_length == 0 for ni in network.interfaces),
             deadline=40_000,
-            check_every=5,
         )
         assert network.packets_delivered > 700
         splits = sum(router.splits_performed for router in network.routers)
@@ -101,7 +100,6 @@ class TestWideControlUnderLoad:
             lambda: not network.packets_in_flight
             and all(ni.queue_length == 0 for ni in network.interfaces),
             deadline=40_000,
-            check_every=5,
         )
         created = sum(source.packets_created for source in network.sources)
         assert network.packets_delivered == created

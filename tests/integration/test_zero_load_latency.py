@@ -1,8 +1,10 @@
 """Zero-load latency, pinned exactly.
 
-One 5-flit packet crosses the otherwise empty 8x8 mesh with every source
+One 5-flit packet crosses the otherwise empty mesh with every source
 disabled, so nothing contends with it and its latency is a closed form in the
-hop count h.  The forms are what the models give today:
+hop count h.  Seven pairs of the 8x8 mesh pin the forms out to h = 14, and
+every ordered pair of a 4x4 mesh pins them for every direction and turn.
+The forms are what the models give today:
 
 * VC8 is 5h+7.  DESIGN.md section 3 gives 5h+5; its 4 buffers per VC hold
   less than a 5-flit packet, so the credit loop adds 2 cycles.
@@ -30,6 +32,7 @@ from repro.topology.mesh import Mesh2D
 from repro.traffic.packet import Packet
 
 MESH = Mesh2D(8, 8)
+SMALL_MESH = Mesh2D(4, 4)
 
 #: (source, destination) as (x, y): h = 1, 2, 4, 5, 8, 11 and 14 hops, along
 #: X, along Y, both ways round and corner to corner.
@@ -53,8 +56,10 @@ MODELS: dict[str, tuple[AnyConfig, Callable[[int], int]]] = {
 }
 
 
-def _zero_load_latency(config: AnyConfig, source: int, destination: int) -> int:
-    network = build_network(config, 0.1, mesh=MESH)
+def _zero_load_latency(
+    config: AnyConfig, source: int, destination: int, mesh: Mesh2D = MESH
+) -> int:
+    network = build_network(config, 0.1, mesh=mesh)
     network.stop_injection()
     packet = Packet(1, source=source, destination=destination, length=5, creation_cycle=0)
     network.packets_in_flight[1] = packet
@@ -76,3 +81,21 @@ def test_zero_load_latency_is_exact(model: str, pair) -> None:
     config, closed_form = MODELS[model]
     source, destination = (MESH.node_at(*xy) for xy in pair)
     assert _zero_load_latency(config, source, destination) == closed_form(_hops(pair))
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_zero_load_latency_on_every_pair_of_a_4x4_mesh(model: str) -> None:
+    config, closed_form = MODELS[model]
+    mismatches = []
+    for source in SMALL_MESH.nodes():
+        for destination in SMALL_MESH.nodes():
+            if source == destination:
+                continue
+            latency = _zero_load_latency(config, source, destination, SMALL_MESH)
+            expected = closed_form(SMALL_MESH.hop_distance(source, destination))
+            if latency != expected:
+                mismatches.append(
+                    f"{SMALL_MESH.coordinates(source)} -> "
+                    f"{SMALL_MESH.coordinates(destination)}: {latency}, not {expected}"
+                )
+    assert not mismatches, f"{model}: " + "; ".join(mismatches)

@@ -236,7 +236,6 @@ OPTIONAL_OUTPUT_MODULES = frozenset(
         "repro.obs.spatial",
         "repro.obs.trace",
         "repro.sim.invariants",
-        "repro.stats.utilization",
         "csv",
         "subprocess",
         "statistics",

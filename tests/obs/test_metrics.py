@@ -8,6 +8,7 @@ from repro.baselines.vc.network import VCNetwork
 from repro.core.network import FRNetwork
 from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.sim.kernel import Simulator
+from repro.topology.mesh import EAST, NORTH, SOUTH, WEST
 
 
 class TestInstruments:
@@ -96,3 +97,64 @@ class TestMetricsRegistry:
         assert summary["rows"] == len(registry.timeseries) == 2
         assert "buffer_occupancy" in summary["gauges"]
         assert set(summary["gauges"]["buffer_occupancy"]) == {"last", "mean"}
+
+    def test_columns_equal_direct_network_readings(self, mesh4, small_fr_config) -> None:
+        # Each standard column reduces a spatial row; a custom sampler reads
+        # the same quantity straight off the routers on the same tick.
+        network = FRNetwork(small_fr_config, mesh=mesh4, injection_rate=0.08, seed=2)
+        registry = MetricsRegistry(sample_every=40)
+        registry.install_standard_instruments(network)
+        links = [
+            router.data_out_links[port]
+            for router in network.routers
+            for port in (NORTH, EAST, SOUTH, WEST)
+            if router.data_out_links[port] is not None
+        ]
+        sent = {"total": 0, "cycle": -1}
+
+        def direct_utilization(net, cycle: int) -> float:
+            total = sum(link.total_sent for link in links)
+            busy = (total - sent["total"]) / ((cycle - sent["cycle"]) * len(links))
+            sent.update(total=total, cycle=cycle)
+            return busy
+
+        direct = {
+            "channel_utilization": direct_utilization,
+            "buffer_occupancy": lambda net, cycle: float(
+                sum(router.buffered_total() for router in net.routers)
+            ),
+            "reservation_occupancy": lambda net, cycle: float(
+                sum(router.reservation_busy_total() for router in net.routers)
+            ),
+            "credit_stalls": lambda net, cycle: float(
+                sum(router.schedule_stalls for router in net.routers)
+            ),
+            "injection_backpressure": lambda net, cycle: net.mean_source_queue_length(),
+        }
+        for column, sampler in direct.items():
+            registry.add_sampler(f"direct_{column}", sampler)
+        Simulator(network, observers=(registry,)).step(400)
+        assert len(registry.timeseries) == 10
+        for row in registry.timeseries:
+            for column in direct:
+                assert row[column] == row[f"direct_{column}"], (row["cycle"], column)
+
+    def test_mid_run_install_rates_cover_only_cycles_seen(
+        self, mesh4, small_fr_config
+    ) -> None:
+        network = FRNetwork(small_fr_config, mesh=mesh4, injection_rate=0.08, seed=2)
+        simulator = Simulator(network)
+        simulator.step(550)
+        registry = MetricsRegistry(sample_every=100)
+        registry.install_standard_instruments(network, simulator.cycle)
+        simulator.observers = (registry,)
+        simulator.step(51)
+        (row,) = registry.spatial.samples
+        assert (row.window_start, row.window_end) == (550, 601)
+        (scalar,) = registry.timeseries
+        assert scalar["channel_utilization"] == sum(row.link_flits) / (51 * len(row.link_flits))
+        assert scalar["channel_utilization"] > 0.05
+        assert scalar["credit_stalls"] == float(
+            sum(router.schedule_stalls for router in network.routers)
+        )
+

@@ -5,7 +5,8 @@ and adds a fourth:
 
 * construction rejects a non-positive sampling cadence;
 * sampling windows are half-open ``[start, end)`` and tile the run with no
-  gap or overlap (the ``tests/stats/test_window_semantics.py`` convention);
+  gap or overlap (the ``tests/stats/test_window_semantics.py`` convention),
+  the first opening on the cycle the instruments were installed at;
 * a re-entrant attach never duplicates the boundary-cycle row;
 * the CSV and heatmap exporters are byte-stable across repeated exports.
 """
@@ -19,9 +20,14 @@ from repro.baselines.vc.network import VCNetwork
 from repro.core.config import FRConfig
 from repro.core.network import FRNetwork
 from repro.obs.heatmap import build_heatmap, render_ascii, render_svg, write_heatmap_json
-from repro.obs.spatial import SpatialMetricsRegistry, write_spatial_csv
+from repro.obs.spatial import (
+    SpatialMetricsRegistry,
+    SpatialSample,
+    format_link_utilization,
+    write_spatial_csv,
+)
 from repro.sim.kernel import Simulator
-from repro.topology.mesh import Mesh2D
+from repro.topology.mesh import EAST, NORTH, SOUTH, WEST, Mesh2D
 
 
 def _fr_network(injection_rate: float = 0.08, seed: int = 11) -> FRNetwork:
@@ -31,6 +37,15 @@ def _fr_network(injection_rate: float = 0.08, seed: int = 11) -> FRNetwork:
         injection_rate=injection_rate,
         seed=seed,
     )
+
+
+def _router_data_links(network) -> list:
+    """The router-to-router data links, found without the registry's help."""
+    links = []
+    for router in network.routers:
+        out_links = getattr(router, "data_out_links", None) or router.out_data_links
+        links += [out_links[port] for port in (NORTH, EAST, SOUTH, WEST) if out_links[port]]
+    return links
 
 
 def _observed(cycles: int = 300, sample_every: int = 50) -> tuple:
@@ -82,7 +97,7 @@ class TestWindowSemantics:
 
     def test_rows_in_window_is_half_open(self) -> None:
         _, registry = _observed(cycles=300, sample_every=50)
-        # Row at cycle 100 covers [52, 101); [0, 101) holds rows 0, 50, 100.
+        # Row at cycle 100 covers [51, 101); [0, 101) holds rows 0, 50, 100.
         held = registry.rows_in_window(0, 101)
         assert [row.cycle for row in held] == [0, 50, 100]
         # An end inside row 100's window excludes it (end is open).
@@ -101,6 +116,23 @@ class TestWindowSemantics:
         registry.check(network, boundary)
         assert len(registry.samples) == rows_before
         assert registry.samples[-1].cycle == boundary
+
+    def test_first_window_opens_at_a_mid_run_install(self) -> None:
+        network = _fr_network(injection_rate=0.5)
+        simulator = Simulator(network)
+        simulator.step(550)
+        links = _router_data_links(network)
+        sent_at_install = sum(link.total_sent for link in links)
+        registry = SpatialMetricsRegistry(sample_every=100)
+        registry.install_standard_instruments(network, simulator.cycle)
+        simulator.observers = (registry,)
+        simulator.step(51)
+        (row,) = registry.samples
+        assert (row.cycle, row.window_start, row.window_end) == (600, 550, 601)
+        busy = (sum(link.total_sent for link in links) - sent_at_install) / (51 * len(links))
+        values = row.links["link_utilization"]
+        assert sum(values) / len(values) == pytest.approx(busy)
+        assert busy > 0.1
 
     def test_chunked_stepping_matches_one_shot(self) -> None:
         one_shot = _fr_network()
@@ -175,6 +207,65 @@ class TestInstruments:
         assert summary["sample_every"] == 50
         assert "buffer_occupancy" in summary["node_metrics"]
         assert summary["peaks"]["buffer_occupancy"]["value"] > 0
+
+
+def _busy_row(network, warm: int = 400, cycles: int = 600) -> tuple:
+    """One row covering ``cycles`` cycles after ``warm`` cycles of warm-up."""
+    simulator = Simulator(network)
+    simulator.step(warm)
+    registry = SpatialMetricsRegistry()
+    registry.install_standard_instruments(network, simulator.cycle)
+    simulator.step(cycles)
+    return registry, registry.row(network, simulator.cycle - 1)
+
+
+class TestLinkUtilizationReport:
+    """``frfc utilization``'s reader: one window of the spatial row."""
+
+    @pytest.mark.parametrize("flavour", ["fr", "vc"])
+    def test_busy_fractions_are_fractions(self, flavour: str) -> None:
+        if flavour == "fr":
+            network = _fr_network(injection_rate=0.06, seed=3)
+        else:
+            network = VCNetwork(VCConfig(), mesh=Mesh2D(4, 4), injection_rate=0.06, seed=3)
+        registry, row = _busy_row(network)
+        assert (row.window_start, row.window_end) == (400, 1000)
+        values = row.links["link_utilization"]
+        # Mesh edges exist for every connected port: 4x4 has 48 channels.
+        assert len(values) == len(registry.link_keys) == 48
+        assert all(0.0 <= value <= 1.0 for value in values)
+        assert 0.0 < sum(values) / len(values) < 1.0
+
+    def test_heavier_load_busier_links(self) -> None:
+        means = []
+        for rate in (0.02, 0.10):
+            _, row = _busy_row(_fr_network(injection_rate=rate, seed=3))
+            values = row.links["link_utilization"]
+            means.append(sum(values) / len(values))
+        assert means[1] > means[0]
+
+    def test_equal_seeds_equal_rows(self) -> None:
+        _, first = _busy_row(_fr_network(seed=5))
+        _, second = _busy_row(_fr_network(seed=5))
+        assert first.link_flits == second.link_flits
+        assert first.links == second.links
+
+    def test_format(self) -> None:
+        registry = SpatialMetricsRegistry()
+        registry.link_keys = [(3, EAST), (0, NORTH), (5, WEST)]
+        row = SpatialSample(cycle=99, window_start=0, window_end=100)
+        row.links["link_utilization"] = [0.42, 0.1, 0.9]
+        assert format_link_utilization(registry, row, count=2) == (
+            "data channel utilization over 100 cycles: mean 0.473, peak 0.900\n"
+            "hottest channels:\n"
+            "  node   5 west   0.900\n"
+            "  node   3 east   0.420"
+        )
+
+    def test_no_links_raises(self) -> None:
+        registry = SpatialMetricsRegistry()
+        with pytest.raises(ValueError, match="no data links"):
+            format_link_utilization(registry, SpatialSample(0, 0, 1))
 
 
 class TestStableExports:

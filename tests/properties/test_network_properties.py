@@ -34,7 +34,6 @@ def run_and_drain(network, cycles=600):
         lambda: not network.packets_in_flight
         and all(ni.queue_length == 0 for ni in network.interfaces),
         deadline=cycles + 30_000,
-        check_every=5,
     )
     return network
 
